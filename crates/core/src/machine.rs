@@ -473,6 +473,22 @@ impl MultiTileMachine {
         self.memories[tile_idx].write_word(offset, value)
     }
 
+    /// Bytes of simulated SRAM that `tile` holds in allocated pages: its
+    /// memory chiplet plus its cores' private SRAM. Pages are allocated on
+    /// first write, so this is 0 for a tile nothing has stored to.
+    ///
+    /// # Panics
+    ///
+    /// Panics for out-of-range tiles.
+    pub fn resident_sram_bytes(&self, tile: TileCoord) -> usize {
+        let idx = self.faults.array().index_of(tile);
+        self.memories[idx].resident_bytes()
+            + self.cores[idx]
+                .iter()
+                .map(CoreSim::resident_bytes)
+                .sum::<usize>()
+    }
+
     /// Decodes a global address to `(tile index, bank offset)`.
     fn decode(&self, addr: u32) -> Result<(usize, u32), AccessMemoryError> {
         if addr < GLOBAL_BASE {

@@ -29,6 +29,14 @@ pub const TOTAL_BYTES: usize = BANK_COUNT * BANK_BYTES;
 /// model): 2 KiB, i.e. 512 words and 64 rows per 128 KB bank.
 pub const ROW_BYTES: usize = 2048;
 
+/// Bytes per page of simulated SRAM storage: 4 KiB, i.e. 1024 words,
+/// 32 pages per 128 KB bank and 16 per core's 64 KB private SRAM. A page
+/// is allocated on the first write to any of its words.
+pub const PAGE_BYTES: usize = 4096;
+
+/// Words per storage page.
+const PAGE_WORDS: usize = PAGE_BYTES / 4;
+
 /// The bank a tile-local offset maps to, as pure offset arithmetic:
 /// global offsets word-interleave across banks 0–3, local offsets go to
 /// bank 4.
@@ -75,6 +83,12 @@ fn locate(offset: u32) -> Result<(usize, usize), AccessMemoryError> {
     }
 }
 
+/// The storage word index of `(bank, byte-within-bank)`.
+#[inline]
+fn word_index(bank: usize, byte: usize) -> usize {
+    (bank * BANK_BYTES + byte) / 4
+}
+
 /// Memory-access failure modes shared by the tile models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessMemoryError {
@@ -105,6 +119,46 @@ impl fmt::Display for AccessMemoryError {
 
 impl Error for AccessMemoryError {}
 
+/// Word-addressed simulated SRAM, stored as [`PAGE_BYTES`] pages that are
+/// allocated on first write. A word never written reads as 0, so a fresh
+/// store costs one pointer per page and no zeroing. Indices are checked
+/// by the callers, which own the address decoding and its errors.
+#[derive(Debug, Clone)]
+pub(crate) struct PagedWords {
+    pages: Vec<Option<Box<[u32; PAGE_WORDS]>>>,
+}
+
+impl PagedWords {
+    /// A store of `bytes` (a multiple of [`PAGE_BYTES`]) with no pages.
+    pub(crate) fn new(bytes: usize) -> Self {
+        debug_assert!(bytes.is_multiple_of(PAGE_BYTES));
+        PagedWords {
+            pages: vec![None; bytes / PAGE_BYTES],
+        }
+    }
+
+    /// The word at index `word`.
+    #[inline]
+    pub(crate) fn read(&self, word: usize) -> u32 {
+        match &self.pages[word / PAGE_WORDS] {
+            Some(page) => page[word % PAGE_WORDS],
+            None => 0,
+        }
+    }
+
+    /// Stores `value` at index `word`, allocating its page if needed.
+    #[inline]
+    pub(crate) fn write(&mut self, word: usize, value: u32) {
+        let page = self.pages[word / PAGE_WORDS].get_or_insert_with(|| Box::new([0; PAGE_WORDS]));
+        page[word % PAGE_WORDS] = value;
+    }
+
+    /// Bytes held by allocated pages.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.pages.iter().filter(|p| p.is_some()).count() * PAGE_BYTES
+    }
+}
+
 /// The five-bank memory chiplet of one tile.
 ///
 /// Offsets `0..512 KiB` address the four global banks (word-interleaved);
@@ -120,17 +174,26 @@ impl Error for AccessMemoryError {}
 /// assert_eq!(mem.read_word(0x40)?, 123);
 /// # Ok::<(), wsp_tile::AccessMemoryError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct MemoryChiplet {
-    banks: Vec<Vec<u8>>,
+    /// All five banks back to back, `BANK_BYTES` each; a bank is a whole
+    /// number of pages, so no page spans two banks.
+    words: PagedWords,
 }
 
 impl MemoryChiplet {
-    /// Creates a zero-initialised memory chiplet.
+    /// Creates a memory chiplet whose words all read 0. No storage is
+    /// allocated until the first write.
     pub fn new() -> Self {
         MemoryChiplet {
-            banks: (0..BANK_COUNT).map(|_| vec![0u8; BANK_BYTES]).collect(),
+            words: PagedWords::new(TOTAL_BYTES),
         }
+    }
+
+    /// Bytes of simulated SRAM backed by allocated pages: a multiple of
+    /// [`PAGE_BYTES`], 0 for a chiplet that was never written.
+    pub fn resident_bytes(&self) -> usize {
+        self.words.resident_bytes()
     }
 
     /// The bank an offset maps to: global offsets word-interleave across
@@ -150,8 +213,7 @@ impl MemoryChiplet {
     /// Returns an error for misaligned or out-of-range offsets.
     pub fn read_word(&self, offset: u32) -> Result<u32, AccessMemoryError> {
         let (bank, byte) = locate(offset)?;
-        let s = &self.banks[bank][byte..byte + 4];
-        Ok(u32::from_le_bytes(s.try_into().expect("4 bytes")))
+        Ok(self.words.read(word_index(bank, byte)))
     }
 
     /// Writes a word at `offset`.
@@ -161,7 +223,7 @@ impl MemoryChiplet {
     /// Returns an error for misaligned or out-of-range offsets.
     pub fn write_word(&mut self, offset: u32, value: u32) -> Result<(), AccessMemoryError> {
         let (bank, byte) = locate(offset)?;
-        self.banks[bank][byte..byte + 4].copy_from_slice(&value.to_le_bytes());
+        self.words.write(word_index(bank, byte), value);
         Ok(())
     }
 }

@@ -3,16 +3,21 @@
 # machine-readable output and validates every artefact.
 #
 #   ./scripts/bench.sh             # full runs -> BENCH_*.json + TRACE_machine.json
-#   ./scripts/bench.sh --smoke     # seconds-scale reduced runs (the CI gate)
+#   ./scripts/bench.sh --smoke     # seconds-scale reduced runs (the CI gate),
+#                                  # written to and validated in a temporary
+#                                  # directory that is removed on exit, so the
+#                                  # committed artefacts are never touched
 #   ./scripts/bench.sh --criterion # also run the arena_vs_vecdeque
 #                                  # micro-bench (criterion, ~1 min)
 #
-# Set WSP_THREADS=<n> to pin the simulation backend's worker count
-# (forwarded as --threads to every binary); the default is the host's
-# available parallelism. Results are bit-identical either way — the
-# knob only affects wall-clock and the speedup gauges.
+# Every binary runs with --threads 1 unless WSP_THREADS=<n> sets another
+# worker count. Results are bit-identical at any count, but the phase
+# profile is not: with more than one thread the full-wafer fabric ticks
+# take the split plan/apply path, and check.sh's perf-shape gate on the
+# committed BENCH_noc.json expects the single-thread fused path. Pinning
+# the count keeps that gate independent of the host's core count.
 #
-# Artefacts land in the repo root:
+# Full-run artefacts land in the repo root:
 #   BENCH_noc.json       fig7_network  (NoC request/response metrics)
 #   BENCH_machine.json   workloads     (kernel + traced-stencil metrics;
 #                                       full runs add the machine.memory.*
@@ -40,9 +45,12 @@ for arg in "$@"; do
     esac
 done
 
-THREADS=()
-if [[ -n "${WSP_THREADS:-}" ]]; then
-    THREADS=(--threads "$WSP_THREADS")
+THREADS=(--threads "${WSP_THREADS:-1}")
+
+OUT=.
+if [[ ${#SMOKE[@]} -gt 0 ]]; then
+    OUT="$(mktemp -d)"
+    trap 'rm -rf "$OUT"' EXIT
 fi
 
 echo "==> cargo build --release -p wsp-bench"
@@ -55,20 +63,22 @@ run() {
     "target/release/$bin" "$@" >/dev/null
 }
 
-run fig7_network "${SMOKE[@]}" "${THREADS[@]}" --json BENCH_noc.json
-run workloads "${SMOKE[@]}" "${THREADS[@]}" --json BENCH_machine.json --trace TRACE_machine.json
-run fig2_droop "${SMOKE[@]}" "${THREADS[@]}" --json BENCH_pdn.json
-run serve "${SMOKE[@]}" "${THREADS[@]}" --json BENCH_serve.json
+run fig7_network "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_noc.json"
+run workloads "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_machine.json" \
+    --trace "$OUT/TRACE_machine.json"
+run fig2_droop "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_pdn.json"
+run serve "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_serve.json"
 
 echo "==> validate_json"
 target/release/validate_json \
-    BENCH_noc.json BENCH_machine.json BENCH_pdn.json BENCH_serve.json \
-    TRACE_machine.json
+    "$OUT/BENCH_noc.json" "$OUT/BENCH_machine.json" "$OUT/BENCH_pdn.json" \
+    "$OUT/BENCH_serve.json" "$OUT/TRACE_machine.json"
 
 # Full runs record wall.profile.* gauges; smoke runs print an empty
 # table (the profiler is disabled so the smoke JSON stays deterministic).
 echo "==> phase profile (wsp-diff profile)"
-target/release/wsp-diff profile BENCH_noc.json BENCH_machine.json BENCH_pdn.json
+target/release/wsp-diff profile "$OUT/BENCH_noc.json" "$OUT/BENCH_machine.json" \
+    "$OUT/BENCH_pdn.json"
 
 if [[ "$CRITERION" == 1 ]]; then
     echo "==> criterion: arena_vs_vecdeque (data-layout micro-bench)"

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI-style gate: formatting, lints, and the tier-1 build + test pass.
+# CI-style gate: formatting, lints, the release build, every workspace test,
+# and the bench, determinism and snapshot gates.
 # Run from anywhere: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,8 +14,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test"
-cargo test -q
+echo "==> cargo test (every workspace crate's unit, integration and doc tests)"
+cargo test --workspace -q
 
 echo "==> perf-shape gate (committed phase profile takes the fused fast path)"
 # The committed full-run BENCH_noc.json pins the *shape* of the fabric
@@ -39,7 +40,7 @@ for phase in plan apply; do
 done
 echo "    committed full-wafer profile is fused-only"
 
-echo "==> bench smoke (BENCH_*.json present and well-formed)"
+echo "==> bench smoke (smoke artefacts well-formed; written to a temp dir)"
 ./scripts/bench.sh --smoke
 
 echo "==> determinism gate (smoke JSON vs tests/golden, {dense,sparse,wheel} x {1,8} threads)"
