@@ -27,10 +27,10 @@ pub mod diff;
 /// - `--threads <n>` — worker threads for the deterministic parallel
 ///   backend (default: the machine's available parallelism; results are
 ///   bit-identical at any value);
-/// - `--stepping <dense|sparse|wheel>` — tile-visit strategy for the
-///   cycle-level engines (default: `sparse`; `wheel` adds event-driven
-///   jumps over idle/stalled windows; results are bit-identical in
-///   every mode);
+/// - `--stepping <dense|wheel>` — stepping mode of the cycle-level
+///   engines (default: `wheel`, which walks only active tiles and jumps
+///   over idle/stalled windows; `dense` executes every cycle as the
+///   reference; results are bit-identical in both modes);
 /// - `--memory <fixed|banked|banked+tlb>` — memory-timing backend for
 ///   the machine and workload layers (default: `fixed`, which is
 ///   byte-identical to the pre-trait model);
@@ -66,7 +66,7 @@ pub struct BenchOpts {
     pub seed: Option<u64>,
     /// Worker-thread override for the deterministic parallel backend.
     pub threads: Option<usize>,
-    /// Tile-visit strategy for the cycle-level engines.
+    /// Stepping mode of the cycle-level engines.
     pub stepping: Stepping,
     /// Memory-timing backend for the machine and workload layers.
     pub memory: MemoryModelKind,
@@ -103,7 +103,7 @@ impl BenchOpts {
                 eprintln!("error: {msg}");
                 eprintln!(
                     "usage: [--json <path>] [--trace <path>] [--seed <u64>] [--threads <n>] \
-                     [--stepping <dense|sparse|wheel>] [--memory <fixed|banked|banked+tlb>] \
+                     [--stepping <dense|wheel>] [--memory <fixed|banked|banked+tlb>] \
                      [--sample-every <n>] [--digest-every <n>] [--smoke]"
                 );
                 std::process::exit(2);
@@ -149,7 +149,7 @@ impl BenchOpts {
                 "--stepping" => {
                     let raw = args.next().ok_or("--stepping requires a value")?;
                     opts.stepping = Stepping::parse(&raw)
-                        .ok_or_else(|| format!("invalid stepping {raw:?} (dense|sparse|wheel)"))?;
+                        .ok_or_else(|| format!("invalid stepping {raw:?} (dense|wheel)"))?;
                 }
                 "--memory" => {
                     let raw = args.next().ok_or("--memory requires a value")?;
@@ -362,15 +362,14 @@ impl ServeOpts {
 
 /// Encodes an executor label (as reported by the fabric's or machine's
 /// `executor()`) as a stable numeric gauge value, since telemetry gauges
-/// are `f64`-valued: `sequential` → 0, `banded` → 1, `sparse` → 2,
-/// `wheel` → 3.
+/// are `f64`-valued: `sequential` → 0, `banded` → 1, `wheel` → 3 (2
+/// belonged to the deleted sparse mode and is not reused).
 /// Unknown labels map to -1 so a renamed path shows up in reports
 /// instead of silently aliasing a real one.
 pub fn executor_code(label: &str) -> f64 {
     match label {
         "sequential" => 0.0,
         "banded" => 1.0,
-        "sparse" => 2.0,
         "wheel" => 3.0,
         _ => -1.0,
     }
@@ -473,7 +472,8 @@ mod tests {
         );
         let empty = parse(&[]).expect("empty ok");
         assert_eq!(empty.seed_or(7), 7);
-        assert_eq!(empty.stepping, Stepping::Sparse);
+        assert_eq!(empty.stepping, Stepping::Wheel);
+        assert_eq!(BenchOpts::default().stepping, Stepping::Wheel);
         assert_eq!(empty.memory, MemoryModelKind::Fixed);
         assert_eq!(empty.sample_every, DEFAULT_SAMPLE_EVERY);
         assert_eq!(empty.digest_every, DEFAULT_DIGEST_EVERY);
@@ -500,6 +500,11 @@ mod tests {
         assert!(parse(&["--threads", "nope"]).is_err());
         assert!(parse(&["--stepping"]).is_err());
         assert!(parse(&["--stepping", "eager"]).is_err());
+        assert_eq!(
+            parse(&["--stepping", "sparse"]).unwrap_err(),
+            r#"invalid stepping "sparse" (dense|wheel)"#,
+            "the deleted sparse mode is rejected, not aliased"
+        );
         assert_eq!(
             parse(&["--stepping", "wheel"]).expect("valid").stepping,
             Stepping::Wheel
@@ -574,7 +579,7 @@ mod tests {
     fn executor_codes_are_stable_and_distinct() {
         assert_eq!(executor_code("sequential"), 0.0);
         assert_eq!(executor_code("banded"), 1.0);
-        assert_eq!(executor_code("sparse"), 2.0);
+        assert_eq!(executor_code("sparse"), -1.0, "the sparse mode is gone");
         assert_eq!(executor_code("wheel"), 3.0);
         assert_eq!(executor_code("mystery"), -1.0);
     }

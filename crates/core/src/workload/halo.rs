@@ -18,7 +18,7 @@ pub const HALO_WORDS: u32 = 8;
 /// cores running the halo-exchange read loop against their east
 /// neighbour (wrapping at the seam). Each core issues [`HALO_WORDS`]
 /// remote loads and halts, so most tiles spend most cycles blocked on
-/// the network — the workload the sparse scheduler is built for.
+/// the network — the workload the runnable-tile walk is built for.
 ///
 /// # Panics
 ///

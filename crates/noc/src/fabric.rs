@@ -22,8 +22,8 @@
 //! Each tick is split into a *plan* phase and an *apply* phase. Planning
 //! reads only the pre-cycle router state (queue heads, round-robin
 //! pointers, downstream occupancy), so every tile's arbitration decision
-//! is a pure function of the previous cycle and the tile rows can be
-//! partitioned into bands planned by independent worker threads
+//! is a pure function of the previous cycle and the tiles can be
+//! partitioned into index bands planned by independent worker threads
 //! ([`Fabric::set_threads`]). The apply phase then commits the planned
 //! moves sequentially in canonical `(network, tile, output port)` order.
 //! Because the plan does not depend on the order bands are computed in,
@@ -67,15 +67,22 @@
 //! A tile whose five input FIFOs are all empty on a network cannot plan a
 //! move, a stall, or a round-robin update on that network, so sweeping it
 //! is pure overhead. Each [`Network`] therefore keeps a per-tile occupancy
-//! count and a *wake list* of tiles with at least one queued packet,
-//! maintained at every push and pop. Under the default
-//! [`Stepping::Sparse`] mode, each tick canonicalises the wake lists
-//! (drop drained tiles, sort ascending) and plans only the awake tiles;
-//! the apply phase wakes every destination it pushes into. Because
-//! "awake" is exactly "occupancy > 0" and the wake order is sorted, the
-//! planned move stream — and therefore every counter and every packet —
-//! is byte-identical to the dense sweep at any thread count
-//! ([`Stepping::Dense`] remains available as the reference).
+//! count plus one flat occupancy bitmask (`occ_mask`, bit `t % 64` of word
+//! `t / 64` set iff tile `t` holds a packet), both maintained at every
+//! push and pop. Every tick — fused or split, in either stepping mode —
+//! walks the set bits with `trailing_zeros` in ascending tile order, so
+//! the planned move stream, and therefore every counter and every packet,
+//! is exactly the one a sweep over all tiles would produce, at any array
+//! width and any thread count. The per-tick active-set sample is the
+//! O(1) occupied-tile counter, not a walk.
+//!
+//! [`Stepping`] only decides what happens *between* ticks and how many
+//! shards plan a tick: under the default [`Stepping::Wheel`] the callers
+//! ([`crate::traffic::NocSim`], the machine) jump an empty fabric across
+//! idle windows with [`Fabric::skip_cycles`], which replays the skipped
+//! per-cycle bookkeeping in bulk; [`Stepping::Dense`] ticks every cycle
+//! and is the reference the equivalence tests and the CI byte-compare
+//! gate run against.
 //!
 //! # Examples
 //!
@@ -342,30 +349,25 @@ struct Network {
     /// One-cache-line hot state per tile; see [`Router`].
     routers: Vec<Router>,
     /// Packets queued at each tile across all five FIFOs. The invariant
-    /// `occ[t] > 0 ⟺ t can plan a move/stall/rr-update` is what makes
-    /// sparse stepping bit-identical to the dense sweep.
+    /// `occ[t] > 0 ⟺ t can plan a move/stall/rr-update` is what lets a
+    /// tick visit only occupied tiles and still match a full sweep.
     occ: Vec<u32>,
-    /// Per-row occupancy bitmask: bit `col` of `row_mask[row]` is set iff
-    /// `occ[row * mask_cols + col] > 0`. The dense sweep walks set bits
-    /// with `trailing_zeros` instead of touching every idle tile.
-    row_mask: Vec<u64>,
-    /// Columns per `row_mask` word; 0 disables the mask (cols > 64).
-    mask_cols: usize,
+    /// Flat occupancy bitmask: bit `t % 64` of `occ_mask[t / 64]` is set
+    /// iff `occ[t] > 0`. Ticks walk set bits with `trailing_zeros`, in
+    /// ascending tile order, instead of touching every idle tile.
+    occ_mask: Vec<u64>,
     /// Tiles with `occ > 0`, maintained in O(1) at every push and pop —
-    /// the dense path's active count, without walking the wake list.
+    /// the per-tick active-set sample.
     live: usize,
-    /// Tiles with `occ > 0` (plus possibly drained stragglers until the
-    /// next [`Network::prune_wake`]). Every push registers its tile here.
-    wake: Vec<usize>,
-    /// Membership dedup for `wake`, so a tile is listed at most once.
-    in_wake: Vec<bool>,
+    /// Packets queued across all tiles (the sum of `occ`), so
+    /// [`Fabric::in_flight`] is O(1) for the callers that test it every
+    /// cycle.
+    queued: usize,
 }
 
 impl Network {
     fn new(array: TileArray, queue_capacity: usize) -> Self {
         let tiles = array.tile_count();
-        let cols = array.cols() as usize;
-        let mask_cols = if cols <= 64 { cols } else { 0 };
         // Link FIFOs never outgrow the plan phase's backpressure cap; the
         // local injection FIFO starts at its bounded-inject depth and
         // grows only under `inject_unbounded` response buffering.
@@ -382,22 +384,16 @@ impl Network {
             queues: (0..tiles).map(|_| fresh_queues()).collect(),
             routers: vec![Router::new(); tiles],
             occ: vec![0; tiles],
-            row_mask: if mask_cols != 0 {
-                vec![0; array.rows() as usize]
-            } else {
-                Vec::new()
-            },
-            mask_cols,
+            occ_mask: vec![0; tiles.div_ceil(64)],
             live: 0,
-            wake: Vec::new(),
-            in_wake: vec![false; tiles],
+            queued: 0,
         }
     }
 
     /// Enqueues arena slot `slot` (heading for `target` on `net`, with
     /// `hops` traversals so far) into FIFO `port` of `tile_idx`,
-    /// maintaining the occupancy count, the wake list, the row bitmask,
-    /// and the cached head routing decision. All fabric pushes go
+    /// maintaining the occupancy count, the occupancy bitmask, and the
+    /// cached head routing decision. All fabric pushes go
     /// through here. The slot's output port *at this tile* is computed
     /// once here and packed into the ring entry, so later head refreshes
     /// and forwards never go back to the arena.
@@ -451,51 +447,47 @@ impl Network {
     /// Registers one packet pushed into any FIFO of `tile_idx`.
     #[inline]
     fn note_push(&mut self, tile_idx: usize) {
+        self.queued += 1;
         self.occ[tile_idx] += 1;
         if self.occ[tile_idx] == 1 {
             self.live += 1;
-        }
-        if self.mask_cols != 0 {
-            self.row_mask[tile_idx / self.mask_cols] |= 1u64 << (tile_idx % self.mask_cols);
-        }
-        if !self.in_wake[tile_idx] {
-            self.in_wake[tile_idx] = true;
-            self.wake.push(tile_idx);
+            self.occ_mask[tile_idx / 64] |= 1u64 << (tile_idx % 64);
         }
     }
 
-    /// Registers one packet popped from any FIFO of `tile_idx`. The tile
-    /// stays on the wake list until the next prune observes `occ == 0`.
+    /// Registers one packet popped from any FIFO of `tile_idx`.
     #[inline]
     fn note_pop(&mut self, tile_idx: usize) {
+        self.queued -= 1;
         self.occ[tile_idx] -= 1;
         if self.occ[tile_idx] == 0 {
             self.live -= 1;
-            if self.mask_cols != 0 {
-                self.row_mask[tile_idx / self.mask_cols] &= !(1u64 << (tile_idx % self.mask_cols));
-            }
+            self.occ_mask[tile_idx / 64] &= !(1u64 << (tile_idx % 64));
         }
     }
+}
 
-    /// Canonicalises the wake list: drops drained tiles and sorts
-    /// ascending, so sparse planning visits awake tiles in exactly the
-    /// order the dense sweep would.
-    fn prune_wake(&mut self) {
-        let Network {
-            occ, wake, in_wake, ..
-        } = self;
-        wake.retain(|&tile_idx| {
-            let live = occ[tile_idx] > 0;
-            if !live {
-                in_wake[tile_idx] = false;
-            }
-            live
-        });
-        wake.sort_unstable();
+/// Calls `visit` on every set bit of `mask` whose index lies in `band`,
+/// in ascending order — a band walk over an occupancy bitmask.
+fn for_each_set_bit(mask: &[u64], band: Range<usize>, mut visit: impl FnMut(usize)) {
+    if band.is_empty() {
+        return;
     }
-
-    fn total_occupancy(&self) -> usize {
-        self.occ.iter().map(|&n| n as usize).sum()
+    let first = band.start / 64;
+    for (word, &bits) in mask[first..=(band.end - 1) / 64].iter().enumerate() {
+        let base = (first + word) * 64;
+        let mut bits = bits;
+        // Clip the first and last words to the band boundaries.
+        if base < band.start {
+            bits &= !0u64 << (band.start - base);
+        }
+        if band.end - base < 64 {
+            bits &= (1u64 << (band.end - base)) - 1;
+        }
+        while bits != 0 {
+            visit(base + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
     }
 }
 
@@ -546,7 +538,7 @@ impl PlanCtx<'_> {
     /// Plans one tile on one network: for every output port, pick the
     /// round-robin arbitration winner among the input FIFO heads routed
     /// to it, against pre-cycle queue state only. A tile with all five
-    /// FIFOs empty plans nothing — the fact the sparse scheduler leans on.
+    /// FIFOs empty plans nothing — the fact the bitmask walk leans on.
     fn plan_tile(&self, network: &Network, tile_idx: usize, moves: &mut Vec<PlannedMove>) {
         // The cached routing decision per queue head; a head contends for
         // exactly one output port, so grants never overlap. Fold the five
@@ -597,51 +589,15 @@ impl PlanCtx<'_> {
         }
     }
 
-    /// Plans one dense band of tiles (the reference sweep) into the
-    /// caller's (pre-cleared) per-network move buffers. When the row
-    /// bitmasks are live (cols ≤ 64) the walk visits only occupied tiles
-    /// via `trailing_zeros` — identical output, because a tile with all
-    /// five FIFOs empty plans nothing.
+    /// Plans one band of tiles into the caller's (pre-cleared)
+    /// per-network move buffers, visiting only the band's occupied tiles
+    /// in ascending order. Concatenating consecutive bands' outputs
+    /// replays the whole-array walk exactly.
     fn plan_band_into(&self, band: Range<usize>, out: &mut [Vec<PlannedMove>; 2]) {
         for (network, moves) in self.networks.iter().zip(out.iter_mut()) {
-            let cols = network.mask_cols;
-            if cols == 0 {
-                for tile_idx in band.clone() {
-                    self.plan_tile(network, tile_idx, moves);
-                }
-                continue;
-            }
-            // Bands are tile-index ranges, so clip the first and last
-            // rows' masks to the band boundaries.
-            let mut row = band.start / cols;
-            while row * cols < band.end {
-                let base = row * cols;
-                let mut bits = network.row_mask[row];
-                if base < band.start {
-                    bits &= !0u64 << (band.start - base);
-                }
-                if base + cols > band.end {
-                    bits &= (1u64 << (band.end - base)) - 1;
-                }
-                while bits != 0 {
-                    let col = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.plan_tile(network, base + col, moves);
-                }
-                row += 1;
-            }
-        }
-    }
-
-    /// Plans one slice of each network's (sorted) wake list into the
-    /// caller's (pre-cleared) buffers. Concatenating the outputs of
-    /// consecutive slices replays the dense band walk exactly, because
-    /// idle tiles plan nothing.
-    fn plan_wake_slices_into(&self, slices: [&[usize]; 2], out: &mut [Vec<PlannedMove>; 2]) {
-        for ((network, moves), slice) in self.networks.iter().zip(out.iter_mut()).zip(slices) {
-            for &tile_idx in slice {
-                self.plan_tile(network, tile_idx, moves);
-            }
+            for_each_set_bit(&network.occ_mask, band.clone(), |tile_idx| {
+                self.plan_tile(network, tile_idx, moves)
+            });
         }
     }
 }
@@ -651,13 +607,13 @@ impl PlanCtx<'_> {
 /// steady-state tick allocation-free.
 #[derive(Default)]
 struct TickScratch {
-    /// One `[moves; 2]` pair per plan shard. Never shrunk: sparse
+    /// One `[moves; 2]` pair per plan shard. Never shrunk: wheel
     /// stepping alternates between 1 and `threads()` shards as the
     /// active set crosses the banding threshold, and shrinking would
     /// free the idle shards' capacity.
     shard_plans: Vec<[Vec<PlannedMove>; 2]>,
-    /// Shard band ranges, one buffer per network (dense uses `[0]` only).
-    bands: [Vec<Range<usize>>; 2],
+    /// Shard tile-index band ranges.
+    bands: Vec<Range<usize>>,
     /// Staged link arrivals `(net, dest tile, in side, entry)` — the
     /// entry's hop count already bumped — committed in order after the
     /// moves that produced them.
@@ -711,15 +667,15 @@ pub struct Fabric {
     next_id: u64,
     relay_forwards: u64,
     link_traversals: u64,
-    /// How ticks visit tiles: sparse active-set walk (default) or the
-    /// dense reference sweep. Results are bit-identical either way.
+    /// Event-wheel stepping (default) or the dense reference sweep.
+    /// Results are bit-identical either way.
     stepping: Stepping,
     /// Adaptive executor for the plan phase: bands across a worker pool
     /// when the active set is large enough, inline otherwise.
     exec: AdaptiveExecutor,
-    /// Per-tick active-set sizes (awake tiles summed over both networks),
-    /// sampled in *both* stepping modes so the exported telemetry is
-    /// independent of the mode and thread count.
+    /// Per-tick active-set sizes (occupied tiles summed over both
+    /// networks), sampled in *both* stepping modes so the exported
+    /// telemetry is independent of the mode and thread count.
     active_tiles: Histogram,
     /// Telemetry sink; [`NoopSink`] by default so the hot path pays one
     /// `enabled()` virtual call per tick when tracing is off.
@@ -808,7 +764,7 @@ impl Fabric {
         ]
     }
 
-    /// Plans ticks with `threads` worker shards (row bands). Results are
+    /// Plans ticks with `threads` worker shards (tile bands). Results are
     /// bit-identical at any thread count, including 1; `threads <= 1`
     /// drops back to inline planning with no pool at all.
     pub fn set_threads(&mut self, threads: usize) {
@@ -825,7 +781,7 @@ impl Fabric {
         self.exec.threads()
     }
 
-    /// Selects how ticks visit tiles (default: [`Stepping::Sparse`]).
+    /// Selects the stepping mode (default: [`Stepping::Wheel`]).
     pub fn set_stepping(&mut self, stepping: Stepping) {
         self.stepping = stepping;
     }
@@ -836,11 +792,10 @@ impl Fabric {
     }
 
     /// The execution path ticks currently take, for bench reporting:
-    /// `"wheel"`, `"sparse"`, `"banded"`, or `"sequential"`.
+    /// `"wheel"`, `"banded"`, or `"sequential"`.
     pub fn executor(&self) -> &'static str {
         match (self.stepping, self.threads()) {
             (Stepping::Wheel, _) => "wheel",
-            (Stepping::Sparse, _) => "sparse",
             (Stepping::Dense, t) if t > 1 => "banded",
             (Stepping::Dense, _) => "sequential",
         }
@@ -981,7 +936,7 @@ impl Fabric {
 
     /// Packets currently queued anywhere in the fabric.
     pub fn in_flight(&self) -> usize {
-        self.networks[0].total_occupancy() + self.networks[1].total_occupancy()
+        self.networks[0].queued + self.networks[1].queued
     }
 
     /// Packets currently resident in the arena. Always equals
@@ -1023,48 +978,34 @@ impl Fabric {
         self.cycle += 1;
         self.ticks += 1;
 
-        // Sample the active set in both stepping modes: the sample is a
-        // pure function of queue state, so the exported histogram is
-        // identical across modes and threads. Only the sparse walks need
-        // the wake lists canonicalised (pruned and sorted); the dense
-        // sweep reads the O(1) occupied-tile counters instead.
-        let mut active = 0usize;
-        match self.stepping {
-            Stepping::Dense => {
-                for network in &self.networks {
-                    active += network.live;
-                }
-            }
-            Stepping::Sparse | Stepping::Wheel => {
-                for network in &mut self.networks {
-                    network.prune_wake();
-                    active += network.wake.len();
-                }
-            }
-        }
+        // Sample the active set in both stepping modes from the O(1)
+        // occupied-tile counters: a pure function of queue state, so the
+        // exported histogram is identical across modes and threads.
+        let active = self.networks[0].live + self.networks[1].live;
         self.active_tiles.record(active as u64);
 
         // Gauge sampling reads the same pre-cycle queue state the sample
-        // above does; all four series share a cadence, so gating the
-        // occupancy walk on the first one's acceptance test is exact.
+        // above does; all four series share a cadence, so gating all of
+        // them on the first one's acceptance test is exact.
         if self.sample_every != 0 && self.samples[0].1.wants(self.cycle) {
             let cycle = self.cycle;
-            let occ0 = self.networks[0].total_occupancy();
-            let occ1 = self.networks[1].total_occupancy();
+            let occ0 = self.networks[0].queued;
+            let occ1 = self.networks[1].queued;
             self.samples[0].1.record(cycle, active as f64);
             self.samples[1].1.record(cycle, occ0 as f64);
             self.samples[2].1.record(cycle, occ1 as f64);
             self.samples[3].1.record(cycle, (occ0 + occ1) as f64);
         }
 
-        // Whenever planning would run on a single shard anyway, the
-        // plan/apply split buys no parallelism — take the fused single
-        // pass instead (bit-identical; see the module docs).
-        let fused = match self.stepping {
-            Stepping::Dense => self.exec.pool().is_none(),
-            Stepping::Sparse | Stepping::Wheel => self.exec.shards_for(active) <= 1,
+        // Dense bands every tick across the pool; wheel only when the
+        // active set is large enough to pay for the barrier. On a single
+        // shard the plan/apply split buys no parallelism — take the fused
+        // single pass instead (bit-identical; see the module docs).
+        let shards = match self.stepping {
+            Stepping::Dense => self.exec.threads(),
+            Stepping::Wheel => self.exec.shards_for(active),
         };
-        if fused {
+        if shards <= 1 {
             let fused_timer = self.profiler.start();
             self.fused_walk(0);
             self.fused_walk(1);
@@ -1072,7 +1013,7 @@ impl Fabric {
             self.profiler.stop("fused", fused_timer);
         } else {
             let plan_timer = self.profiler.start();
-            let shards = self.plan_into_scratch(active);
+            self.plan_into_scratch(shards);
             self.profiler.stop("plan", plan_timer);
             let apply_timer = self.profiler.start();
             self.apply_scratch(shards);
@@ -1101,15 +1042,14 @@ impl Fabric {
         }
     }
 
-    /// The two-pass plan phase, sharded across the executor into the
-    /// reusable scratch buffers. Returns the shard count planned with.
-    fn plan_into_scratch(&mut self, active: usize) -> usize {
+    /// The two-pass plan phase, sharded into `shards` tile-index bands
+    /// across the executor into the reusable scratch buffers.
+    fn plan_into_scratch(&mut self, shards: usize) {
         let tiles = self.array.tile_count();
         let Fabric {
             queue_capacity,
             neighbors,
             networks,
-            stepping,
             exec,
             scratch,
             ..
@@ -1119,40 +1059,12 @@ impl Fabric {
             neighbors,
             networks,
         };
-        match stepping {
-            Stepping::Dense => {
-                let pool = exec.pool().expect("dense single-shard ticks are fused");
-                let shards = pool.threads();
-                scratch.reset_shards(shards);
-                band_ranges_into(tiles, shards, &mut scratch.bands[0]);
-                let bands = &scratch.bands[0];
-                pool.run_mut(&mut scratch.shard_plans[..shards], |shard, out| {
-                    ctx.plan_band_into(bands[shard].clone(), out)
-                });
-                shards
-            }
-            Stepping::Sparse | Stepping::Wheel => {
-                let shards = exec.shards_for(active);
-                debug_assert!(shards > 1, "single-shard sparse ticks are fused");
-                scratch.reset_shards(shards);
-                // Shard each network's wake list independently;
-                // concatenating shard outputs per network restores the
-                // ascending tile order of the dense walk.
-                band_ranges_into(ctx.networks[0].wake.len(), shards, &mut scratch.bands[0]);
-                band_ranges_into(ctx.networks[1].wake.len(), shards, &mut scratch.bands[1]);
-                let bands = &scratch.bands;
-                exec.run_mut(&mut scratch.shard_plans[..shards], |shard, out| {
-                    ctx.plan_wake_slices_into(
-                        [
-                            &ctx.networks[0].wake[bands[0][shard].clone()],
-                            &ctx.networks[1].wake[bands[1][shard].clone()],
-                        ],
-                        out,
-                    )
-                });
-                shards
-            }
-        }
+        scratch.reset_shards(shards);
+        band_ranges_into(tiles, shards, &mut scratch.bands);
+        let bands = &scratch.bands;
+        exec.run_mut(&mut scratch.shard_plans[..shards], |shard, out| {
+            ctx.plan_band_into(bands[shard].clone(), out)
+        });
     }
 
     /// The two-pass apply phase: commits the planned moves of the first
@@ -1207,39 +1119,15 @@ impl Fabric {
     /// immediately, staging arrivals until the pass completes. See the
     /// module docs for the bit-identity argument.
     fn fused_walk(&mut self, net_idx: usize) {
-        match self.stepping {
-            Stepping::Dense => {
-                let cols = self.networks[net_idx].mask_cols;
-                if cols == 0 {
-                    for tile_idx in 0..self.array.tile_count() {
-                        self.fuse_tile(net_idx, tile_idx);
-                    }
-                } else {
-                    // Copy each row's mask before walking it: the walk
-                    // only clears bits of the tile it is visiting (pops
-                    // at that tile), and pushes are staged, so the copy
-                    // is exactly the pre-cycle occupancy the two-pass
-                    // plan would read.
-                    for row in 0..self.networks[net_idx].row_mask.len() {
-                        let base = row * cols;
-                        let mut bits = self.networks[net_idx].row_mask[row];
-                        while bits != 0 {
-                            let col = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            self.fuse_tile(net_idx, base + col);
-                        }
-                    }
-                }
-            }
-            Stepping::Sparse | Stepping::Wheel => {
-                // The wake list is pruned and sorted; pops never touch
-                // it and pushes are staged, so it is stable for the walk
-                // (taken and restored around the borrow).
-                let wake = std::mem::take(&mut self.networks[net_idx].wake);
-                for &tile_idx in &wake {
-                    self.fuse_tile(net_idx, tile_idx);
-                }
-                self.networks[net_idx].wake = wake;
+        // Copy each mask word before walking it: the walk only clears
+        // bits of the tile it is visiting (pops at that tile), and pushes
+        // are staged, so the copy is exactly the pre-cycle occupancy the
+        // two-pass plan would read.
+        for word in 0..self.networks[net_idx].occ_mask.len() {
+            let mut bits = self.networks[net_idx].occ_mask[word];
+            while bits != 0 {
+                self.fuse_tile(net_idx, word * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
             }
         }
         self.commit_arrivals();
@@ -1456,10 +1344,7 @@ impl Fabric {
             return;
         }
         debug_assert_eq!(self.in_flight(), 0, "only an empty fabric may skip");
-        for network in &mut self.networks {
-            network.prune_wake();
-            debug_assert!(network.wake.is_empty());
-        }
+        debug_assert_eq!(self.networks[0].live + self.networks[1].live, 0);
         let start = self.cycle;
         self.cycle += cycles;
         self.active_tiles.record_n(0, cycles);
@@ -1637,8 +1522,8 @@ impl Fabric {
             .sum()
     }
 
-    /// Per-tick active-set sizes sampled so far (awake tiles summed over
-    /// both networks) — a pure function of queue state, identical in
+    /// Per-tick active-set sizes sampled so far (occupied tiles summed
+    /// over both networks) — a pure function of queue state, identical in
     /// either stepping mode.
     pub fn active_tiles(&self) -> &Histogram {
         &self.active_tiles
@@ -1831,9 +1716,9 @@ mod tests {
     }
 
     #[test]
-    fn sparse_stepping_is_bit_identical_to_dense() {
+    fn wheel_stepping_is_bit_identical_to_dense() {
         // Same hotspot-plus-background flood as the thread-count test,
-        // compared across the dense/sparse × thread-count matrix. The
+        // compared across the dense/wheel × thread-count matrix. The
         // active-set histogram must match too: it is sampled from queue
         // state, not from the scheduler's own work list.
         let run = |stepping: Stepping, threads: usize| {
@@ -1872,7 +1757,7 @@ mod tests {
         assert!(baseline.6.count() > 0, "active-set samples recorded");
         for threads in [1, 2, 8] {
             assert_eq!(
-                run(Stepping::Sparse, threads),
+                run(Stepping::Wheel, threads),
                 baseline,
                 "threads = {threads}"
             );
@@ -1921,10 +1806,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_sparse_matches_the_sharded_two_pass_walk() {
+    fn fused_wheel_matches_the_sharded_two_pass_walk() {
         // A 32x32 all-tiles flood keeps the active set above the banding
         // threshold (64 x threads), so the threaded run genuinely shards
-        // its wake lists while threads == 1 takes the fused pass.
+        // its tile bands while threads == 1 takes the fused pass.
         let run = |threads: usize| {
             let mut fabric = Fabric::new(TileArray::new(32, 32), 2);
             fabric.set_threads(threads);
@@ -1987,18 +1872,43 @@ mod tests {
     }
 
     #[test]
-    fn idle_tiles_cost_nothing_in_sparse_mode() {
-        // One packet on a big array: after the first prune, only the
-        // tiles along the path are ever awake.
+    fn idle_tiles_cost_nothing_in_wheel_mode() {
+        // One packet on a big array: only the tiles along the path are
+        // ever occupied, so only they are ever visited.
         let mut fabric = Fabric::new(TileArray::new(16, 16), 4);
-        assert_eq!(fabric.executor(), "sparse");
+        assert_eq!(fabric.executor(), "wheel");
         let p = direct_req(&mut fabric, (0, 0), (3, 0));
         assert!(fabric.inject(p));
         let delivered = fabric.drain();
         assert_eq!(delivered.len(), 1);
         let active = fabric.active_tiles();
-        assert_eq!(active.max(), 1, "a single flit wakes one tile per tick");
+        assert_eq!(active.max(), 1, "a single flit occupies one tile per tick");
         assert_eq!(fabric.in_flight(), 0);
+    }
+
+    #[test]
+    fn set_bit_walk_clips_to_band_boundaries() {
+        // A mask spanning three words (a partial last word, as for a
+        // 130-tile array) against a per-index filter, over every band.
+        let mut mask = vec![0u64; 3];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for tile in 0..130 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if state >> 62 != 0 {
+                mask[tile / 64] |= 1 << (tile % 64);
+            }
+        }
+        let set = |t: usize| mask[t / 64] >> (t % 64) & 1 == 1;
+        for start in 0..=130 {
+            for end in start..=130 {
+                let mut seen = Vec::new();
+                for_each_set_bit(&mask, start..end, |t| seen.push(t));
+                let want: Vec<usize> = (start..end).filter(|&t| set(t)).collect();
+                assert_eq!(seen, want, "band {start}..{end}");
+            }
+        }
     }
 
     #[test]

@@ -722,7 +722,6 @@ mod tests {
             (report, samples, journal)
         };
         let dense = run_mode(Stepping::Dense);
-        assert_eq!(run_mode(Stepping::Sparse), dense);
         assert_eq!(run_mode(Stepping::Wheel), dense);
     }
 

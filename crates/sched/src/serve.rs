@@ -10,7 +10,7 @@
 //! lowest-numbered free usable slice — so the whole campaign is a pure
 //! function of its [`ServeConfig`]. Jobs run *at dispatch* (simulated
 //! time is pure accounting): the machine layer guarantees bit-identical
-//! results across `{dense, sparse, wheel}` stepping and any thread
+//! results across `{dense, wheel}` stepping and any thread
 //! count, so the campaign's digests, histograms, and final report are
 //! bit-identical too. Between jobs every slice machine is quiescent
 //! (its cores halted, its fabric drained), which is what makes the
@@ -51,8 +51,8 @@ pub struct ServeConfig {
     /// Worker threads for the cycle-level machine jobs (results are
     /// bit-identical at any value).
     pub threads: usize,
-    /// Tile-visit strategy for the cycle-level machine jobs
-    /// (bit-identical across modes).
+    /// Stepping mode of the cycle-level machine jobs (bit-identical
+    /// across modes).
     pub stepping: Stepping,
     /// Memory-timing backend for every job.
     pub memory: MemoryModelKind,
@@ -65,7 +65,7 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A config over a clean `wafer` with the library defaults:
-    /// sequential machine jobs, sparse stepping, fixed memory, no fault
+    /// sequential machine jobs, wheel stepping, fixed memory, no fault
     /// injection.
     pub fn new(wafer: TileArray, slice_width: u16, slice_height: u16) -> Self {
         ServeConfig {
@@ -594,7 +594,7 @@ mod tests {
     #[test]
     fn machine_options_do_not_change_outcomes() {
         let mut reference: Option<(u64, String)> = None;
-        for stepping in [Stepping::Dense, Stepping::Sparse, Stepping::Wheel] {
+        for stepping in [Stepping::Dense, Stepping::Wheel] {
             for threads in [1usize, 4] {
                 let mut cfg = small_config(8, None);
                 cfg.stepping = stepping;
@@ -677,7 +677,7 @@ mod tests {
     fn halo_slice_machine_tolerates_faults() {
         let array = TileArray::new(4, 4);
         let faults = FaultMap::from_faulty(array, [TileCoord::new(1, 1), TileCoord::new(2, 2)]);
-        let mut m = build_halo_slice_machine(&faults, 1, Stepping::Sparse, MemoryModelKind::Fixed);
+        let mut m = build_halo_slice_machine(&faults, 1, Stepping::Wheel, MemoryModelKind::Fixed);
         let stats = m.run_until_halt(1_000_000).expect("halts");
         // 14 healthy tiles x 2 cores x HALO_WORDS loads, local or remote.
         assert_eq!(

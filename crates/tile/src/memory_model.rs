@@ -143,7 +143,7 @@ impl fmt::Display for MemoryModelKind {
 /// [`bank_of_offset`](crate::memory::bank_of_offset) first); `now` is
 /// the absolute simulation cycle and must be non-decreasing across
 /// calls. Passing absolute cycles (instead of a `begin_cycle` callback)
-/// keeps the model correct under activity-driven sparse stepping, where
+/// keeps the model correct under activity-driven stepping, where
 /// a skipped tile's model simply never hears about the idle cycles.
 pub trait MemoryModel: fmt::Debug + Send {
     /// Presents one word access. See the module docs for the
@@ -222,7 +222,7 @@ pub struct FixedLatency {
     xbar: Crossbar,
     /// Cycle the crossbar was last reset for; `u64::MAX` = never. The
     /// lazy reset replaces the external per-cycle `begin_cycle` call so
-    /// sparsely stepped tiles need no catch-up loop.
+    /// tiles that skip cycles need no catch-up loop.
     stamp: u64,
     served: [u64; BANK_COUNT],
 }

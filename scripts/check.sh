@@ -43,10 +43,10 @@ echo "    committed full-wafer profile is fused-only"
 echo "==> bench smoke (smoke artefacts well-formed; written to a temp dir)"
 ./scripts/bench.sh --smoke
 
-echo "==> determinism gate (smoke JSON vs tests/golden, {dense,sparse,wheel} x {1,8} threads)"
-# Two claims at once: (1) the parallel backend, the sparse active-set
-# scheduler, and the event-wheel skipper are bit-identical to the
-# sequential dense sweep, and (2) the
+echo "==> determinism gate (smoke JSON vs tests/golden, {dense,wheel} x {1,8} threads)"
+# Two claims at once: (1) the parallel backend and the default wheel
+# stepping (active-set walks plus event-wheel skips) are bit-identical
+# to the sequential dense sweep, and (2) the
 # default fixed-latency memory backend is byte-identical to the
 # pre-MemoryModel-refactor seed output committed under tests/golden/.
 # The smoke JSON carries only deterministic metrics (no wall-clock
@@ -66,7 +66,7 @@ if [ "${WSP_UPDATE_GOLDEN:-0}" = "1" ]; then
 fi
 for bin in fig7_network workloads serve; do
     golden="tests/golden/${bin}_smoke.json"
-    for stepping in dense sparse wheel; do
+    for stepping in dense wheel; do
         for threads in 1 8; do
             out="$DET_DIR/$bin-$stepping-t$threads.json"
             target/release/"$bin" --smoke --stepping "$stepping" --threads "$threads" \

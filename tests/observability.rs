@@ -102,8 +102,9 @@ fn identical_runs_have_identical_digests() {
 }
 
 /// The digest journal and every sampled time series are pure functions
-/// of architectural state: the sparse active-set walk at 8 threads must
-/// reproduce the dense single-threaded artifacts byte for byte.
+/// of architectural state: wheel stepping (runnable-tile walk plus
+/// window skips) at 1 and 8 threads must reproduce the dense
+/// single-threaded artifacts byte for byte.
 #[test]
 fn artifacts_are_identical_across_stepping_and_threads() {
     let run = |stepping, threads| {
@@ -124,8 +125,6 @@ fn artifacts_are_identical_across_stepping_and_threads() {
     let baseline = run(Stepping::Dense, 1);
     for (stepping, threads) in [
         (Stepping::Dense, 8),
-        (Stepping::Sparse, 1),
-        (Stepping::Sparse, 8),
         (Stepping::Wheel, 1),
         (Stepping::Wheel, 8),
     ] {

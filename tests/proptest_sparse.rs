@@ -1,6 +1,6 @@
-//! Property tests for the activity-driven sparse scheduler and the
-//! event-wheel skipper: skipping idle tiles (and jumping fully stalled
-//! windows) must be *unobservable*. Every fabric report and every
+//! Property tests for wheel stepping — the active-set walks plus the
+//! event-wheel skipper: skipping idle tiles (and jumping idle or fully
+//! stalled windows) must be *unobservable*. Every fabric report and every
 //! machine outcome — stats, architectural memory state, per-core
 //! activity counters, the runnable-tiles telemetry sample, the memory
 //! profile, the sampled time series, and the digest journal — has to
@@ -14,7 +14,7 @@ use wsp_common::seeded_rng;
 use wsp_noc::{NocSim, SimConfig, TrafficPattern};
 use wsp_tile::isa::{Program, Reg};
 use wsp_tile::MemoryModelKind;
-use wsp_topo::{FaultMap, TileArray};
+use wsp_topo::{FaultMap, TileArray, TileCoord};
 
 /// Thread counts exercised against the single-threaded dense baseline.
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -26,7 +26,7 @@ const FABRIC_FAULTS: [usize; 3] = [0, 5, 15];
 const MACHINE_FAULTS: [usize; 3] = [0, 1, 3];
 
 /// Memory-timing backends the machine identity property ranges over:
-/// the sparse walk must be unobservable on stateful backends too (the
+/// the runnable-tile walk must be unobservable on stateful backends too (the
 /// execute-then-stall drain keeps a stalled core's tile runnable).
 const MEMORY: [MemoryModelKind; 3] = [
     MemoryModelKind::Fixed,
@@ -75,7 +75,7 @@ fn run_fabric_with_capacity(
 
 /// Builds a 4×4 fabric-model machine whose healthy tiles all atomically
 /// increment one counter on the first healthy tile (a hot-spot with
-/// long blocked stretches — the sparse scheduler's hardest case), runs
+/// long blocked stretches — the runnable-tile walk's hardest case), runs
 /// it, and returns everything observable: the stats, the architectural
 /// counter word, the per-core activity counters (which the gap replay
 /// must reconstruct exactly), and the runnable-tiles sample.
@@ -86,6 +86,21 @@ fn run_machine(
     stepping: Stepping,
     threads: usize,
     memory: MemoryModelKind,
+) -> impl PartialEq + std::fmt::Debug {
+    run_machine_on(seed, fault_count, reps, stepping, threads, memory, u16::MAX)
+}
+
+/// [`run_machine`] with only the healthy tiles whose row-major index
+/// bit is set in `participants` loading the program; the rest stay idle
+/// for the whole run, so the runnable-tile set is sparse throughout.
+fn run_machine_on(
+    seed: u64,
+    fault_count: usize,
+    reps: u32,
+    stepping: Stepping,
+    threads: usize,
+    memory: MemoryModelKind,
+    participants: u16,
 ) -> impl PartialEq + std::fmt::Debug {
     let array = TileArray::new(4, 4);
     let mut rng = seeded_rng(seed);
@@ -119,7 +134,7 @@ fn run_machine(
         .build()
         .expect("builds");
     for tile in array.tiles() {
-        if faults.is_faulty(tile) {
+        if faults.is_faulty(tile) || participants & (1 << array.index_of(tile)) == 0 {
             continue;
         }
         m.load_program(tile, 0, &program).expect("loads");
@@ -145,28 +160,38 @@ fn run_machine(
 }
 
 proptest! {
-    /// Fabric packet delivery is bit-identical between the dense sweep
-    /// and the sparse wake-list walk, at every thread count, over clean
-    /// and heavily faulted wafers.
+    /// Sparse traffic is where the wheel skips the most: a handful of
+    /// requests in a non-uniform pattern (transpose, east-neighbour
+    /// stencil, or a hot spot) leaves almost every tile idle and most
+    /// cycles empty, yet the report still matches the dense sweep bit
+    /// for bit at every thread count, over clean and faulted wafers.
     #[test]
     fn sparse_fabric_matches_dense(
         seed in any::<u64>(),
         fault_idx in 0usize..3,
-        requests in 20u64..150,
+        requests in 1u64..20,
         threads_idx in 0usize..3,
+        pattern_idx in 0usize..3,
+        hot_x in 0u16..16,
+        hot_y in 0u16..16,
     ) {
         let faults = FABRIC_FAULTS[fault_idx];
         let threads = THREADS[threads_idx];
-        let pattern = TrafficPattern::UniformRandom;
+        let pattern = [
+            TrafficPattern::Transpose,
+            TrafficPattern::NeighborEast,
+            TrafficPattern::HotSpot { target: TileCoord::new(hot_x, hot_y) },
+        ][pattern_idx];
         let dense = run_fabric(seed, faults, requests, pattern, Stepping::Dense, 1);
-        let sparse = run_fabric(seed, faults, requests, pattern, Stepping::Sparse, threads);
-        prop_assert_eq!(dense, sparse);
+        let wheel = run_fabric(seed, faults, requests, pattern, Stepping::Wheel, threads);
+        prop_assert_eq!(dense, wheel);
     }
 
-    /// Machine architectural state — memory, stats, and the per-core
-    /// cycle/stall counters the sparse gap-replay reconstructs — is
-    /// bit-identical between stepping modes at every thread count and
-    /// under every memory-timing backend.
+    /// Machine identity when only a few tiles run: most healthy tiles
+    /// load no program, so the runnable-tile set stays sparse and the
+    /// wheel's gap replay covers long idle stretches — stats, memory,
+    /// activity counters and observability artifacts still match the
+    /// dense sweep at every thread count and memory-timing backend.
     #[test]
     fn sparse_machine_matches_dense(
         seed in any::<u64>(),
@@ -174,19 +199,24 @@ proptest! {
         reps in 1u32..6,
         threads_idx in 0usize..3,
         mem_idx in 0usize..3,
+        tiles in proptest::collection::vec(0usize..16, 1..4),
     ) {
         let faults = MACHINE_FAULTS[fault_idx];
         let threads = THREADS[threads_idx];
         let memory = MEMORY[mem_idx];
-        let dense = run_machine(seed, faults, reps, Stepping::Dense, 1, memory);
-        let sparse = run_machine(seed, faults, reps, Stepping::Sparse, threads, memory);
-        prop_assert_eq!(dense, sparse);
+        let participants = tiles.iter().fold(0u16, |mask, &t| mask | 1 << t);
+        let dense = run_machine_on(seed, faults, reps, Stepping::Dense, 1, memory, participants);
+        let wheel =
+            run_machine_on(seed, faults, reps, Stepping::Wheel, threads, memory, participants);
+        prop_assert_eq!(dense, wheel);
     }
 
-    /// The event wheel's stalled-window jumps are unobservable too: the
-    /// same identity tuple (including memory profile, time series, and
-    /// digest journal) holds for wheel-vs-dense over random schedules,
-    /// fault maps, memory backends, and thread counts.
+    /// Machine architectural state — memory, stats, the per-core
+    /// cycle/stall counters the runnable-tile gap replay reconstructs,
+    /// the memory profile, time series and digest journal — is
+    /// bit-identical between wheel stepping (including its stalled-window
+    /// jumps) and the dense sweep over random schedules, fault maps,
+    /// memory backends, and thread counts.
     #[test]
     fn wheel_machine_matches_dense(
         seed in any::<u64>(),
@@ -203,9 +233,10 @@ proptest! {
         prop_assert_eq!(dense, wheel);
     }
 
-    /// Fabric-level wheel identity: with injections running the wheel
-    /// degenerates to the sparse walk, and the drain phase jumps empty
-    /// windows — the report must still match the dense sweep exactly.
+    /// Fabric packet delivery is bit-identical between the dense sweep
+    /// and wheel stepping at every thread count, over clean and heavily
+    /// faulted wafers: with injections running the wheel walks the
+    /// occupied tiles each tick, and the drain phase jumps empty windows.
     #[test]
     fn wheel_fabric_matches_dense(
         seed in any::<u64>(),
@@ -231,12 +262,12 @@ proptest! {
         fault_idx in 0usize..3,
         requests in 20u64..150,
         threads_idx in 0usize..3,
-        stepping_idx in 0usize..3,
+        stepping_idx in 0usize..2,
         queue_capacity in 1usize..4,
     ) {
         let faults = FABRIC_FAULTS[fault_idx];
         let threads = THREADS[threads_idx];
-        let stepping = [Stepping::Dense, Stepping::Sparse, Stepping::Wheel][stepping_idx];
+        let stepping = [Stepping::Dense, Stepping::Wheel][stepping_idx];
         let pattern = TrafficPattern::UniformRandom;
         let dense = run_fabric_with_capacity(
             seed, faults, requests, pattern, Stepping::Dense, 1, queue_capacity);
@@ -245,11 +276,11 @@ proptest! {
         prop_assert_eq!(dense, other);
     }
 
-    /// Arena slots are recycled and wake lists pruned across drained
-    /// campaigns: repeated traffic runs through one fabric leave no live
-    /// arena slots behind, the second and later identical campaigns fit
-    /// in recycled slots without growing the columns, and the pruned
-    /// wake lists never wedge a later run — at every stepping mode,
+    /// Arena slots are recycled and occupancy masks cleared across
+    /// drained campaigns: repeated traffic runs through one fabric leave
+    /// no live arena slots behind, the second and later identical
+    /// campaigns fit in recycled slots without growing the columns, and
+    /// the cleared masks never wedge a later run — at every stepping mode,
     /// thread count, and ring capacity, over faulted wafers.
     #[test]
     fn drained_campaigns_recycle_arena_slots(
@@ -257,7 +288,7 @@ proptest! {
         fault_idx in 0usize..3,
         requests in 20u64..100,
         threads_idx in 0usize..3,
-        stepping_idx in 0usize..3,
+        stepping_idx in 0usize..2,
         queue_capacity in 1usize..4,
     ) {
         let array = TileArray::new(16, 16);
@@ -267,7 +298,7 @@ proptest! {
         let mut sim = NocSim::new(faults, config);
         sim.fabric_mut().set_threads(THREADS[threads_idx]);
         sim.fabric_mut()
-            .set_stepping([Stepping::Dense, Stepping::Sparse, Stepping::Wheel][stepping_idx]);
+            .set_stepping([Stepping::Dense, Stepping::Wheel][stepping_idx]);
         let mut footprints = Vec::new();
         for _ in 0..3 {
             let mut rng = seeded_rng(seed);
