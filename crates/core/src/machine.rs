@@ -26,13 +26,12 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::ops::Range;
+use std::hash::BuildHasherDefault;
 
-use wsp_common::parallel::{band_ranges, AdaptiveExecutor, Stepping};
+use wsp_common::parallel::Stepping;
 use wsp_noc::{Fabric, FabricPacket, NetworkChoice, PacketKind, RoutePlanner};
 use wsp_telemetry::{
-    BufferedSink, DigestJournal, Fnv1a, Histogram, LaneId, NoopSink, PhaseProfiler, Sink,
-    TimeSeries,
+    DigestJournal, Fnv1a, Histogram, LaneId, NoopSink, PhaseProfiler, Sink, TimeSeries,
 };
 use wsp_tile::{
     isa::Reg,
@@ -75,6 +74,17 @@ impl RemoteOp {
             | BusAccess::AmoAdd { addr, .. } => addr,
         }
     }
+}
+
+/// The machine's running shared-memory access counters; the matching
+/// [`MachineStats`] fields document each one.
+#[derive(Debug, Default, Clone, Copy)]
+struct AccessCounters {
+    local_accesses: u64,
+    remote_accesses: u64,
+    network_stall_cycles: u64,
+    remote_latency_total: u64,
+    bank_conflicts: u64,
 }
 
 /// Execution statistics of a machine run.
@@ -159,26 +169,24 @@ pub struct MultiTileMachine {
     mem_models: Vec<Box<dyn MemoryModel>>,
     pending: Vec<Vec<Option<PendingAccess>>>,
     fabric: Fabric,
-    in_flight: HashMap<u64, RemoteOp>,
+    /// Remote ops in flight, by request packet id. Keyed through the
+    /// seedless [`Fnv1a`] hasher, so when the map grows — and allocates —
+    /// is the same on every run.
+    in_flight: HashMap<u64, RemoteOp, BuildHasherDefault<Fnv1a>>,
     /// Request packets delivered at their owner but still waiting for a
     /// bank port (the owner's cores compete through the same crossbar).
     deferred: VecDeque<FabricPacket>,
     /// Reusable per-cycle fabric delivery buffer
     /// ([`Fabric::tick_into`] clears it each call).
     delivered_buf: Vec<FabricPacket>,
+    /// Remote requests the fabric-model tile walk recorded this cycle,
+    /// injected after the walk in walk order; drained, never shrunk.
+    intents: Vec<InjectIntent>,
     cycles: u64,
-    local_accesses: u64,
-    remote_accesses: u64,
-    network_stall_cycles: u64,
-    remote_latency_total: u64,
-    bank_conflicts: u64,
+    counters: AccessCounters,
     /// Event-wheel stepping over the runnable-tile set (default) or the
     /// dense reference sweep. Bit-identical either way.
     stepping: Stepping,
-    /// Adaptive executor for the fabric-model tile-step phase, sharing
-    /// its pool with the fabric's plan phase. Falls back to inline
-    /// stepping when the runnable set is small or `threads <= 1`.
-    exec: AdaptiveExecutor,
     /// Per-tile count of cores currently in [`CoreState::Running`].
     live_cores: Vec<u32>,
     /// Per-tile count of running cores blocked on an in-flight remote op
@@ -194,10 +202,8 @@ pub struct MultiTileMachine {
     /// access; liveness counters are recomputed on the next step.
     liveness_dirty: bool,
     /// Per-cycle runnable-tile counts, sampled in both stepping modes so
-    /// the exported telemetry is independent of mode and thread count.
+    /// the exported telemetry is independent of the mode.
     runnable_tiles: Histogram,
-    /// Reusable per-cycle runnable-tile scratch buffer.
-    runnable_buf: Vec<bool>,
     /// Telemetry sink; [`NoopSink`] by default. Remote completions record
     /// a latency histogram sample, bank denials bump a counter, and
     /// [`MultiTileMachine::run_until_halt`] emits a `machine` run span.
@@ -207,12 +213,12 @@ pub struct MultiTileMachine {
     /// Per-cycle gauge series `(name, series)`: runnable tiles, in-flight
     /// remote ops, and (stateful memory backends only) the cumulative
     /// row-hit rate. Pure functions of architectural state, so the series
-    /// are bit-identical across stepping modes and thread counts.
+    /// are bit-identical across stepping modes.
     samples: [(&'static str, TimeSeries); 3],
-    /// Wall-clock phase attribution: `machine.tiles` (per-shard, folded
-    /// after the barrier), `machine.commit`, `machine.fabric`, and
-    /// `machine.fabric.memory`. The fabric's own `plan`/`apply` phases
-    /// live in its profiler and are re-rooted on export.
+    /// Wall-clock phase attribution: `machine.tiles`, `machine.commit`,
+    /// `machine.fabric`, and `machine.fabric.memory`. The fabric's own
+    /// `fused` tick phase lives in its profiler and is re-rooted on
+    /// export.
     profiler: PhaseProfiler,
 }
 
@@ -242,24 +248,19 @@ impl MultiTileMachine {
             memories: (0..tiles).map(|_| MemoryChiplet::new()).collect(),
             mem_models: (0..tiles).map(|_| config.memory_model().build()).collect(),
             pending: (0..tiles).map(|_| vec![None; cores_per_tile]).collect(),
-            in_flight: HashMap::new(),
+            in_flight: HashMap::default(),
             deferred: VecDeque::new(),
             delivered_buf: Vec::new(),
+            intents: Vec::new(),
             cycles: 0,
-            local_accesses: 0,
-            remote_accesses: 0,
-            network_stall_cycles: 0,
-            remote_latency_total: 0,
-            bank_conflicts: 0,
+            counters: AccessCounters::default(),
             stepping: Stepping::default(),
-            exec: AdaptiveExecutor::default(),
             live_cores: vec![0; tiles],
             blocked_cores: vec![0; tiles],
             last_stepped: vec![0; tiles],
             running_cores: 0,
             liveness_dirty: false,
             runnable_tiles: Histogram::new(),
-            runnable_buf: Vec::with_capacity(tiles),
             sink: Box::new(NoopSink),
             sample_every: 0,
             samples: Self::make_samples(0),
@@ -276,22 +277,6 @@ impl MultiTileMachine {
         ]
     }
 
-    /// Steps the fabric-model tile phase (and the fabric's plan phase)
-    /// with `threads` worker shards. Observable behaviour — memory
-    /// contents, [`MachineStats`], telemetry stream — is bit-identical at
-    /// any thread count; `threads <= 1` drops back to inline stepping.
-    /// The analytic latency model performs cross-tile accesses
-    /// synchronously and always steps sequentially.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.exec = AdaptiveExecutor::new(threads);
-        self.fabric.set_pool(self.exec.pool());
-    }
-
-    /// Shards used by the tile-step phase.
-    pub fn threads(&self) -> usize {
-        self.exec.threads()
-    }
-
     /// Selects how the machine (and its fabric) visit tiles each cycle
     /// (default: [`Stepping::Wheel`]). Results are bit-identical in
     /// either mode.
@@ -303,16 +288,6 @@ impl MultiTileMachine {
     /// The current stepping mode.
     pub fn stepping(&self) -> Stepping {
         self.stepping
-    }
-
-    /// The execution path the tile-step phase currently takes, for bench
-    /// reporting: `"wheel"`, `"banded"`, or `"sequential"`.
-    pub fn executor(&self) -> &'static str {
-        match (self.stepping, self.threads()) {
-            (Stepping::Wheel, _) => "wheel",
-            (Stepping::Dense, t) if t > 1 => "banded",
-            (Stepping::Dense, _) => "sequential",
-        }
     }
 
     /// Per-cycle runnable-tile counts sampled so far — a pure function of
@@ -365,7 +340,7 @@ impl MultiTileMachine {
     }
 
     /// Turns wall-clock phase profiling on or off, for the machine's own
-    /// phases and the fabric's `plan`/`apply`.
+    /// phases and the fabric's tick.
     pub fn set_profiling(&mut self, on: bool) {
         self.profiler.set_enabled(on);
         self.fabric.set_profiling(on);
@@ -536,11 +511,8 @@ impl MultiTileMachine {
     ///
     /// # Errors
     ///
-    /// Propagates the first core fault in canonical tile/core order.
-    /// (With multiple shards a fault does not stop *other* bands from
-    /// finishing the cycle, so post-fault machine state may differ from a
-    /// sequential run — the error returned is the same, and a faulted run
-    /// is aborted anyway.)
+    /// Propagates the first core fault in canonical tile/core order; no
+    /// core after the faulting one steps that cycle.
     pub fn step(&mut self) -> Result<(), RunMachineError> {
         if self.liveness_dirty {
             self.refresh_liveness();
@@ -563,7 +535,7 @@ impl MultiTileMachine {
             LatencyModel::Fabric => self.step_tiles_fabric().map(|()| self.advance_fabric()),
         };
         if result.is_err() {
-            // A core fault stops its band mid-sweep; recount liveness
+            // A core fault stops the walk mid-sweep; recount liveness
             // before any further stepping instead of patching the
             // partially updated counters.
             self.liveness_dirty = true;
@@ -770,9 +742,8 @@ impl MultiTileMachine {
         }
     }
 
-    /// One cycle of the analytic model: always sequential, because an
-    /// analytic remote access performs synchronously at the *owner*
-    /// tile's crossbar, which may live in any band.
+    /// One cycle of the analytic model, where a remote access performs
+    /// synchronously at the *owner* tile's crossbar.
     fn step_tiles_analytic(&mut self) -> Result<(), RunMachineError> {
         let array = self.faults.array();
         // No per-cycle crossbar reset: the memory models stamp requests
@@ -821,167 +792,158 @@ impl MultiTileMachine {
         Ok(())
     }
 
-    /// One cycle of the fabric model's tile phase, sharded into row bands.
+    /// One cycle of the fabric model's tile phase: steps every core of
+    /// every healthy tile in place, in `(tile, rotated core)` order.
     ///
-    /// Under the fabric model every cross-tile interaction is deferred: a
-    /// core touching a remote owner only *records an injection intent*,
-    /// so each band reads and writes nothing outside its own tiles and
-    /// the bands are data-independent. The sequential commit below then
-    /// merges shard counters, replays buffered telemetry, and performs
-    /// the intents (id allocation, packet injection, pending-slot arming)
-    /// in canonical `(band, tile, rotated core)` order — exactly the
-    /// order the sequential engine issues them in, which is what makes
-    /// the machine bit-identical at any thread count.
+    /// With wheel stepping the walk visits only *runnable* tiles (at least
+    /// one running core that is not blocked on an in-flight remote op).
+    /// Skipping is unobservable: a halted core's step is a no-op, and a
+    /// blocked core's dense step does exactly `cycles += 1`,
+    /// `stall_cycles += 1`, `network_stall_cycles += 1` — replayed in bulk
+    /// on wake from the gap since the tile last stepped. A tile's
+    /// runnability can change mid-walk only through its own cores halting,
+    /// so testing it at the visit reads the pre-cycle value.
+    ///
+    /// A core touching a remote owner only records an [`InjectIntent`];
+    /// the intents are injected after the walk, in walk order, which
+    /// keeps packet ids and queue order canonical. The walk stops at the
+    /// first core fault; intents recorded before it are still injected.
     fn step_tiles_fabric(&mut self) -> Result<(), RunMachineError> {
         let array = self.faults.array();
-        let tiles = array.tile_count();
         let cores_per_tile = self.config.cores_per_tile();
         let rotate = (self.cycles % cores_per_tile as u64) as usize;
         let cycles = self.cycles;
-        let telemetry_on = self.sink.enabled();
-        let profile_on = self.profiler.enabled();
         let active_only = self.stepping != Stepping::Dense;
 
-        // Active-set pre-scan, in both stepping modes: the telemetry
-        // sample and the shard-count decision are pure functions of
-        // liveness state, so they never depend on mode or thread count.
-        let mut runnable_vec = std::mem::take(&mut self.runnable_buf);
-        runnable_vec.clear();
-        let mut active = 0usize;
-        for t in 0..tiles {
-            let r = self.live_cores[t] > self.blocked_cores[t];
-            runnable_vec.push(r);
-            active += usize::from(r);
-        }
-        self.runnable_tiles.record(active as u64);
+        // Sampled in both stepping modes: a pure function of liveness.
+        let runnable_now = self
+            .live_cores
+            .iter()
+            .zip(&self.blocked_cores)
+            .filter(|&(&l, &b)| l > b)
+            .count() as u64;
+        self.runnable_tiles.record(runnable_now);
 
-        let shard_count = match self.stepping {
-            Stepping::Dense => self.exec.threads(),
-            Stepping::Wheel => self.exec.shards_for(active),
-        };
-        let bands = band_ranges(tiles, shard_count);
-
-        let outs: Vec<ShardOut> = {
-            let MultiTileMachine {
-                faults,
-                planner,
-                cores,
-                memories,
-                mem_models,
-                pending,
-                live_cores,
-                last_stepped,
-                exec,
-                ..
-            } = self;
-            let runnable: &[bool] = &runnable_vec;
-            let mut shards = Vec::with_capacity(bands.len());
-            {
-                let mut rest = (
-                    cores.as_mut_slice(),
-                    memories.as_mut_slice(),
-                    mem_models.as_mut_slice(),
-                    pending.as_mut_slice(),
-                    live_cores.as_mut_slice(),
-                    last_stepped.as_mut_slice(),
-                );
-                let mut offset = 0;
-                for band in &bands {
-                    let take = band.end - offset;
-                    let (c, ct) = rest.0.split_at_mut(take);
-                    let (m, mt) = rest.1.split_at_mut(take);
-                    let (x, xt) = rest.2.split_at_mut(take);
-                    let (p, pt) = rest.3.split_at_mut(take);
-                    let (l, lt) = rest.4.split_at_mut(take);
-                    let (s, st) = rest.5.split_at_mut(take);
-                    rest = (ct, mt, xt, pt, lt, st);
-                    offset = band.end;
-                    shards.push(FabricShard {
-                        band: band.clone(),
-                        cores: c,
-                        memories: m,
-                        mem_models: x,
-                        pending: p,
-                        live: l,
-                        last_stepped: s,
-                    });
+        let tiles_timer = self.profiler.start();
+        let MultiTileMachine {
+            faults,
+            planner,
+            cores,
+            memories,
+            mem_models,
+            pending,
+            intents,
+            counters,
+            live_cores,
+            blocked_cores,
+            last_stepped,
+            running_cores,
+            sink,
+            ..
+        } = self;
+        let mut fault = None;
+        'tiles: for tile_idx in 0..array.tile_count() {
+            let tile = array.coord_of(tile_idx);
+            // A faulty tile's memory model is never arbitrated: its cores
+            // never run and it owns no servable memory.
+            if faults.is_faulty(tile) {
+                continue;
+            }
+            if active_only && live_cores[tile_idx] <= blocked_cores[tile_idx] {
+                continue;
+            }
+            // Replay the skipped span: every core sitting on an in-flight
+            // or just-completed remote op stepped-and-stalled once per
+            // skipped cycle in the dense sweep.
+            let gap = cycles - last_stepped[tile_idx] - 1;
+            if gap > 0 {
+                for (core, slot) in cores[tile_idx].iter_mut().zip(&pending[tile_idx]) {
+                    if matches!(
+                        slot,
+                        Some(PendingAccess::InFlight { .. }) | Some(PendingAccess::Ready { .. })
+                    ) {
+                        core.absorb_stall_cycles(gap);
+                        counters.network_stall_cycles += gap;
+                    }
                 }
             }
-            let step_shard = |shard: FabricShard<'_>| {
-                let mut out = ShardOut::new(telemetry_on, profile_on);
-                let tiles_timer = out.profile.start();
-                step_fabric_band(
+            last_stepped[tile_idx] = cycles;
+            for i in 0..cores_per_tile {
+                let core_idx = (i + rotate) % cores_per_tile;
+                let core = &mut cores[tile_idx][core_idx];
+                // Identical in both modes: stepping a non-running core is
+                // a no-op in `CoreSim::step`, so eliding the call changes
+                // nothing and keeps the halt accounting below exact.
+                if core.state() != CoreState::Running {
+                    continue;
+                }
+                let outcome = step_one_core_fabric(
                     array,
                     faults,
                     planner,
-                    shard,
-                    rotate,
-                    cores_per_tile,
+                    tile_idx,
+                    core_idx,
                     cycles,
-                    active_only,
-                    runnable,
-                    &mut out,
+                    core,
+                    &mut memories[tile_idx],
+                    mem_models[tile_idx].as_mut(),
+                    &mut pending[tile_idx][core_idx],
+                    counters,
+                    sink.as_mut(),
+                    intents,
                 );
-                out.profile.stop("machine.tiles", tiles_timer);
-                out
-            };
-            if shards.len() == 1 {
-                let shard = shards.pop().expect("one band");
-                vec![step_shard(shard)]
-            } else {
-                exec.map(shards, |_, shard| step_shard(shard))
-            }
-        };
-        self.runnable_buf = runnable_vec;
-
-        // Sequential commit, in band order.
-        let commit_timer = self.profiler.start();
-        let mut first_error: Option<RunMachineError> = None;
-        for mut out in outs {
-            self.profiler.fold(&out.profile);
-            self.local_accesses += out.local_accesses;
-            self.remote_accesses += out.remote_accesses;
-            self.network_stall_cycles += out.network_stall_cycles;
-            self.remote_latency_total += out.remote_latency_total;
-            self.bank_conflicts += out.bank_conflicts;
-            self.running_cores -= out.halted_cores as usize;
-            out.telemetry.replay(self.sink.as_mut());
-            for intent in out.intents {
-                let id = self.fabric.allocate_id();
-                let packet = FabricPacket::request(
-                    id,
-                    array.coord_of(intent.tile_idx),
-                    intent.owner,
-                    intent.choice,
-                    self.fabric.cycle(),
-                );
-                if self.fabric.inject(packet) {
-                    self.in_flight.insert(
-                        id,
-                        RemoteOp {
-                            tile_idx: intent.tile_idx,
-                            core_idx: intent.core_idx,
-                            access: intent.access,
-                            result: None,
-                        },
-                    );
-                    self.pending[intent.tile_idx][intent.core_idx] =
-                        Some(PendingAccess::InFlight {
-                            addr: intent.addr,
-                            issued_at: cycles,
+                match outcome {
+                    Err(source) => {
+                        fault = Some(RunMachineError::CoreFault {
+                            tile,
+                            core: core_idx,
+                            source,
                         });
-                    self.blocked_cores[intent.tile_idx] += 1;
+                        break 'tiles;
+                    }
+                    Ok(state) => {
+                        if state != CoreState::Running {
+                            live_cores[tile_idx] -= 1;
+                            *running_cores -= 1;
+                        }
+                    }
                 }
-                // On injection backpressure the id is burned (ids count
-                // attempts, as in the traffic layer) and the core
-                // retries next cycle.
-            }
-            if first_error.is_none() {
-                first_error = out.error;
             }
         }
+        self.profiler.stop("machine.tiles", tiles_timer);
+
+        let commit_timer = self.profiler.start();
+        for intent in self.intents.drain(..) {
+            let id = self.fabric.allocate_id();
+            let packet = FabricPacket::request(
+                id,
+                array.coord_of(intent.tile_idx),
+                intent.owner,
+                intent.choice,
+                self.fabric.cycle(),
+            );
+            if self.fabric.inject(packet) {
+                self.in_flight.insert(
+                    id,
+                    RemoteOp {
+                        tile_idx: intent.tile_idx,
+                        core_idx: intent.core_idx,
+                        access: intent.access,
+                        result: None,
+                    },
+                );
+                self.pending[intent.tile_idx][intent.core_idx] = Some(PendingAccess::InFlight {
+                    addr: intent.addr,
+                    issued_at: cycles,
+                });
+                self.blocked_cores[intent.tile_idx] += 1;
+            }
+            // On injection backpressure the id is burned (ids count
+            // attempts, as in the traffic layer) and the core retries
+            // next cycle.
+        }
         self.profiler.stop("machine.commit", commit_timer);
-        match first_error {
+        match fault {
             Some(error) => Err(error),
             None => Ok(()),
         }
@@ -1030,7 +992,7 @@ impl MultiTileMachine {
             .expect("offset validated at issue");
         match self.mem_models[owner_idx].request(offset, self.cycles) {
             MemTiming::Denied => {
-                self.bank_conflicts += 1;
+                self.counters.bank_conflicts += 1;
                 if self.sink.enabled() {
                     self.sink.counter_add("machine.bank_conflicts", 1);
                 }
@@ -1090,7 +1052,7 @@ impl MultiTileMachine {
 
     /// Steps one core under the analytic latency model, servicing local
     /// and remote shared accesses. (Fabric-model cores step through
-    /// [`step_fabric_band`], which never leaves its band.)
+    /// [`step_one_core_fabric`].)
     fn step_core_analytic(&mut self, tile_idx: usize, core_idx: usize) -> Result<(), StepError> {
         let array = self.faults.array();
         let my_tile = array.coord_of(tile_idx);
@@ -1104,11 +1066,7 @@ impl MultiTileMachine {
             memories,
             mem_models,
             pending,
-            local_accesses,
-            remote_accesses,
-            network_stall_cycles,
-            remote_latency_total,
-            bank_conflicts,
+            counters,
             sink,
             ..
         } = self;
@@ -1142,16 +1100,16 @@ impl MultiTileMachine {
                         value,
                     }) if a == addr => {
                         *pending_slot = None;
-                        *remote_accesses += 1;
+                        counters.remote_accesses += 1;
                         let latency = cycles.saturating_sub(issued_at);
-                        *remote_latency_total += latency;
+                        counters.remote_latency_total += latency;
                         if telemetry_on {
                             sink.histogram_record("machine.remote_latency_cycles", latency);
                         }
                         return Ok(BusGrant::Granted(value));
                     }
                     Some(PendingAccess::InFlight { addr: a, .. }) if a == addr => {
-                        *network_stall_cycles += 1;
+                        counters.network_stall_cycles += 1;
                         return Ok(BusGrant::Stalled);
                     }
                     Some(PendingAccess::WaitUntil {
@@ -1160,7 +1118,7 @@ impl MultiTileMachine {
                         ready_at,
                     }) if a == addr => {
                         if cycles < ready_at {
-                            *network_stall_cycles += 1;
+                            counters.network_stall_cycles += 1;
                             return Ok(BusGrant::Stalled);
                         }
                         completing_remote = Some(issued_at);
@@ -1188,7 +1146,7 @@ impl MultiTileMachine {
                             issued_at: cycles,
                             ready_at: cycles + latency,
                         });
-                        *network_stall_cycles += 1;
+                        counters.network_stall_cycles += 1;
                         return Ok(BusGrant::Stalled);
                     }
                 }
@@ -1199,7 +1157,7 @@ impl MultiTileMachine {
             memories[owner_idx].bank_of(offset)?;
             match mem_models[owner_idx].request(offset, cycles) {
                 MemTiming::Denied => {
-                    *bank_conflicts += 1;
+                    counters.bank_conflicts += 1;
                     if telemetry_on {
                         sink.counter_add("machine.bank_conflicts", 1);
                     }
@@ -1209,14 +1167,14 @@ impl MultiTileMachine {
             }
             if let Some(issued_at) = completing_remote {
                 *pending_slot = None;
-                *remote_accesses += 1;
+                counters.remote_accesses += 1;
                 let latency = cycles.saturating_sub(issued_at);
-                *remote_latency_total += latency;
+                counters.remote_latency_total += latency;
                 if telemetry_on {
                     sink.histogram_record("machine.remote_latency_cycles", latency);
                 }
             } else {
-                *local_accesses += 1;
+                counters.local_accesses += 1;
             }
             match access {
                 BusAccess::Load { .. } => {
@@ -1266,14 +1224,14 @@ impl MultiTileMachine {
         MachineStats {
             cycles: self.cycles,
             retired: self.cores.iter().flatten().map(|c| c.stats().retired).sum(),
-            local_accesses: self.local_accesses,
-            remote_accesses: self.remote_accesses,
-            network_stall_cycles: self.network_stall_cycles,
-            remote_latency_total: self.remote_latency_total,
+            local_accesses: self.counters.local_accesses,
+            remote_accesses: self.counters.remote_accesses,
+            network_stall_cycles: self.counters.network_stall_cycles,
+            remote_latency_total: self.counters.remote_latency_total,
             relay_forwards: self.fabric.relay_forwards(),
             link_stall_cycles: self.fabric.total_stall_cycles(),
             peak_link_occupancy: self.fabric.peak_link_occupancy(),
-            bank_conflicts: self.bank_conflicts,
+            bank_conflicts: self.counters.bank_conflicts,
         }
     }
 
@@ -1297,10 +1255,14 @@ impl MultiTileMachine {
     /// own link metrics when the fabric latency model ran.
     pub fn export_metrics(&self, sink: &mut dyn Sink) {
         sink.counter_add("machine.retired", self.stats().retired);
-        sink.counter_add("machine.local_accesses", self.local_accesses);
-        sink.counter_add("machine.remote_accesses", self.remote_accesses);
-        sink.counter_add("machine.network_stall_cycles", self.network_stall_cycles);
-        sink.counter_add("machine.bank_conflicts", self.bank_conflicts);
+        let counters = self.counters;
+        sink.counter_add("machine.local_accesses", counters.local_accesses);
+        sink.counter_add("machine.remote_accesses", counters.remote_accesses);
+        sink.counter_add(
+            "machine.network_stall_cycles",
+            counters.network_stall_cycles,
+        );
+        sink.counter_add("machine.bank_conflicts", counters.bank_conflicts);
         sink.gauge_set("machine.cycles", self.cycles as f64);
         sink.gauge_set(
             "machine.mean_remote_latency_cycles",
@@ -1395,8 +1357,9 @@ impl MemoryProfile {
     }
 }
 
-/// Decodes a global address to `(tile index, bank offset)` using only
-/// shared (`Sync`) machine state, so fabric shards can call it.
+/// Decodes a global address to `(tile index, bank offset)` from the fault
+/// map alone, so the core-step closures can call it while the machine's
+/// per-tile vectors are borrowed.
 fn decode_global(
     array: TileArray,
     faults: &FaultMap,
@@ -1413,26 +1376,10 @@ fn decode_global(
     Ok((t, off % GLOBAL_REGION_BYTES as u32))
 }
 
-/// The mutable band of machine state one fabric shard owns for a cycle:
-/// disjoint slices carved out of the per-tile vectors with
-/// `split_at_mut`, so shards can run on worker threads without locks.
-struct FabricShard<'a> {
-    /// Global tile indices `band.start..band.end`; slice index `i` within
-    /// this shard is tile `band.start + i`.
-    band: Range<usize>,
-    cores: &'a mut [Vec<CoreSim>],
-    memories: &'a mut [MemoryChiplet],
-    mem_models: &'a mut [Box<dyn MemoryModel>],
-    pending: &'a mut [Vec<Option<PendingAccess>>],
-    /// Per-tile running-core counts; the band decrements on halt.
-    live: &'a mut [u32],
-    /// Cycle each tile last ran its step phase (gap replay).
-    last_stepped: &'a mut [u64],
-}
-
-/// A remote access a fabric shard wants injected; the sequential commit
-/// phase performs the injection so packet ids and queue order stay
-/// canonical.
+/// A remote access a fabric-model core wants injected; the commit after
+/// the tile walk performs the injection so packet ids and queue order
+/// stay canonical.
+#[derive(Debug)]
 struct InjectIntent {
     tile_idx: usize,
     core_idx: usize,
@@ -1442,147 +1389,10 @@ struct InjectIntent {
     addr: u32,
 }
 
-/// What one fabric shard produced in one cycle: counter deltas, buffered
-/// telemetry, deferred injections, and the band's first core fault.
-struct ShardOut {
-    local_accesses: u64,
-    remote_accesses: u64,
-    network_stall_cycles: u64,
-    remote_latency_total: u64,
-    bank_conflicts: u64,
-    /// Cores that left [`CoreState::Running`] this cycle; the commit
-    /// phase subtracts them from the machine's running-core count.
-    halted_cores: u64,
-    telemetry: BufferedSink,
-    intents: Vec<InjectIntent>,
-    /// Wall time this shard spent in its band's tile-step phase; folded
-    /// into the machine's profiler after the barrier (fold order does
-    /// not matter — phase sums are commutative).
-    profile: PhaseProfiler,
-    error: Option<RunMachineError>,
-}
-
-impl ShardOut {
-    fn new(telemetry_on: bool, profile_on: bool) -> Self {
-        ShardOut {
-            local_accesses: 0,
-            remote_accesses: 0,
-            network_stall_cycles: 0,
-            remote_latency_total: 0,
-            bank_conflicts: 0,
-            halted_cores: 0,
-            telemetry: BufferedSink::new(telemetry_on),
-            intents: Vec::new(),
-            profile: PhaseProfiler::new(profile_on),
-            error: None,
-        }
-    }
-}
-
-/// Steps every core of every healthy tile in one band for one cycle
-/// under the fabric model. Stops at the band's first core fault (matching
-/// the sequential engine, which steps nothing after a fault).
-///
-/// With `active_only` set the band visits only *runnable* tiles (at least
-/// one running core that is not blocked on an in-flight remote op). Skipping
-/// is unobservable: a halted core's step is a no-op, and a blocked core's
-/// dense step does exactly `cycles += 1`, `stall_cycles += 1`,
-/// `network_stall_cycles += 1` — replayed in bulk on wake from the gap
-/// since the tile last stepped.
-#[allow(clippy::too_many_arguments)]
-fn step_fabric_band(
-    array: TileArray,
-    faults: &FaultMap,
-    planner: &RoutePlanner,
-    shard: FabricShard<'_>,
-    rotate: usize,
-    cores_per_tile: usize,
-    cycles: u64,
-    active_only: bool,
-    runnable: &[bool],
-    out: &mut ShardOut,
-) {
-    let FabricShard {
-        band,
-        cores,
-        memories,
-        mem_models,
-        pending,
-        live,
-        last_stepped,
-    } = shard;
-    for local_t in 0..band.len() {
-        let tile_idx = band.start + local_t;
-        let tile = array.coord_of(tile_idx);
-        // A faulty tile's memory model is never arbitrated: its cores
-        // never run and it owns no servable memory.
-        if faults.is_faulty(tile) {
-            continue;
-        }
-        if active_only && !runnable[tile_idx] {
-            continue;
-        }
-        // Replay the skipped span: every core sitting on an in-flight or
-        // just-completed remote op stepped-and-stalled once per skipped
-        // cycle in the dense sweep.
-        let gap = cycles - last_stepped[local_t] - 1;
-        if gap > 0 {
-            for slot in 0..cores_per_tile {
-                if matches!(
-                    pending[local_t][slot],
-                    Some(PendingAccess::InFlight { .. }) | Some(PendingAccess::Ready { .. })
-                ) {
-                    cores[local_t][slot].absorb_stall_cycles(gap);
-                    out.network_stall_cycles += gap;
-                }
-            }
-        }
-        last_stepped[local_t] = cycles;
-        for i in 0..cores_per_tile {
-            let core_idx = (i + rotate) % cores_per_tile;
-            // Identical in both modes: stepping a non-running core is a
-            // no-op in `CoreSim::step`, so eliding the call changes
-            // nothing and keeps the halt accounting below exact.
-            if cores[local_t][core_idx].state() != CoreState::Running {
-                continue;
-            }
-            let outcome = step_one_core_fabric(
-                array,
-                faults,
-                planner,
-                tile_idx,
-                core_idx,
-                cycles,
-                &mut cores[local_t][core_idx],
-                &mut memories[local_t],
-                mem_models[local_t].as_mut(),
-                &mut pending[local_t][core_idx],
-                out,
-            );
-            match outcome {
-                Err(source) => {
-                    out.error = Some(RunMachineError::CoreFault {
-                        tile,
-                        core: core_idx,
-                        source,
-                    });
-                    return;
-                }
-                Ok(state) => {
-                    if state != CoreState::Running {
-                        live[local_t] -= 1;
-                        out.halted_cores += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Steps one fabric-model core. Local accesses arbitrate this tile's
 /// memory model; remote accesses either consume a delivered response,
 /// keep stalling on one in flight, or record an [`InjectIntent`] for the
-/// commit phase — never touching state outside the shard.
+/// commit after the walk — never touching another tile's state.
 #[allow(clippy::too_many_arguments)]
 fn step_one_core_fabric(
     array: TileArray,
@@ -1595,7 +1405,9 @@ fn step_one_core_fabric(
     memory: &mut MemoryChiplet,
     model: &mut dyn MemoryModel,
     pending_slot: &mut Option<PendingAccess>,
-    out: &mut ShardOut,
+    counters: &mut AccessCounters,
+    sink: &mut dyn Sink,
+    intents: &mut Vec<InjectIntent>,
 ) -> Result<CoreState, StepError> {
     let my_tile = array.coord_of(tile_idx);
     let mut stall = 0u64;
@@ -1615,15 +1427,16 @@ fn step_one_core_fabric(
                     value,
                 }) if a == addr => {
                     *pending_slot = None;
-                    out.remote_accesses += 1;
+                    counters.remote_accesses += 1;
                     let latency = cycles.saturating_sub(issued_at);
-                    out.remote_latency_total += latency;
-                    out.telemetry
-                        .histogram_record("machine.remote_latency_cycles", latency);
+                    counters.remote_latency_total += latency;
+                    if sink.enabled() {
+                        sink.histogram_record("machine.remote_latency_cycles", latency);
+                    }
                     return Ok(BusGrant::Granted(value));
                 }
                 Some(PendingAccess::InFlight { addr: a, .. }) if a == addr => {
-                    out.network_stall_cycles += 1;
+                    counters.network_stall_cycles += 1;
                     return Ok(BusGrant::Stalled);
                 }
                 Some(PendingAccess::WaitUntil { .. }) => {
@@ -1638,9 +1451,9 @@ fn step_one_core_fabric(
                     // Validate the owner-side access now so the fault
                     // surfaces on the issuing core; the service path can
                     // then assume success. `bank_of_offset` is pure
-                    // offset math — no cross-shard memory touch.
+                    // offset math — the owner's memory is not touched.
                     bank_of_offset(offset)?;
-                    out.intents.push(InjectIntent {
+                    intents.push(InjectIntent {
                         tile_idx,
                         core_idx,
                         access,
@@ -1648,7 +1461,7 @@ fn step_one_core_fabric(
                         choice,
                         addr,
                     });
-                    out.network_stall_cycles += 1;
+                    counters.network_stall_cycles += 1;
                     return Ok(BusGrant::Stalled);
                 }
             }
@@ -1658,13 +1471,15 @@ fn step_one_core_fabric(
         memory.bank_of(offset)?;
         match model.request(offset, cycles) {
             MemTiming::Denied => {
-                out.bank_conflicts += 1;
-                out.telemetry.counter_add("machine.bank_conflicts", 1);
+                counters.bank_conflicts += 1;
+                if sink.enabled() {
+                    sink.counter_add("machine.bank_conflicts", 1);
+                }
                 return Ok(BusGrant::Stalled);
             }
             MemTiming::Granted { stall: extra } => stall = extra,
         }
-        out.local_accesses += 1;
+        counters.local_accesses += 1;
         match access {
             BusAccess::Load { .. } => Ok(BusGrant::Granted(memory.read_word(offset)?)),
             BusAccess::Store { value, .. } => {
@@ -1688,7 +1503,7 @@ impl fmt::Debug for MultiTileMachine {
             .field("array", &self.config.array())
             .field("latency_model", &self.config.latency_model())
             .field("cycles", &self.cycles)
-            .field("remote_accesses", &self.remote_accesses)
+            .field("remote_accesses", &self.counters.remote_accesses)
             .field("in_flight", &self.in_flight.len())
             .finish_non_exhaustive()
     }
@@ -2173,18 +1988,17 @@ mod tests {
     }
 
     #[test]
-    fn banked_memory_is_bit_identical_across_stepping_and_threads() {
+    fn banked_memory_is_bit_identical_across_stepping() {
         // The determinism claim must survive a stateful backend: busy
         // windows are stamped with absolute cycles, so the wheel's
-        // runnable-tile walk and every shard count observe the same grant
-        // sequence.
+        // runnable-tile walk observes the same grant sequence as the
+        // dense sweep.
         let hot = TileCoord::new(0, 0);
-        let run = |stepping: Stepping, threads: usize| {
+        let run = |stepping: Stepping| {
             let cfg = SystemConfig::with_array(TileArray::new(4, 4))
                 .with_memory_model(MemoryModelKind::Banked);
             let mut m = MultiTileMachine::new(cfg, FaultMap::none(cfg.array()));
             m.set_stepping(stepping);
-            m.set_threads(threads);
             load_hotspot(&mut m, 4, hot);
             load_row_ping_pong(&mut m, hot);
             let stats = m.run_until_halt(1_000_000).expect("halts");
@@ -2196,15 +2010,7 @@ mod tests {
                 m.memory_profile(),
             )
         };
-        let baseline = run(Stepping::Dense, 1);
-        for threads in [1, 8] {
-            assert_eq!(
-                run(Stepping::Wheel, threads),
-                baseline,
-                "wheel, threads = {threads}"
-            );
-        }
-        assert_eq!(run(Stepping::Dense, 8), baseline, "dense, threads = 8");
+        assert_eq!(run(Stepping::Wheel), run(Stepping::Dense));
     }
 
     #[test]
@@ -2263,28 +2069,6 @@ mod tests {
     }
 
     #[test]
-    fn fabric_model_is_bit_identical_across_thread_counts() {
-        // The tentpole determinism claim, at machine level: the hotspot
-        // workload (remote traffic, bank contention, backpressure) must
-        // produce the same stats, cycle count, and memory contents no
-        // matter how many shards step the tiles.
-        let hot = TileCoord::new(0, 0);
-        let run = |threads: usize| {
-            let mut m = machine(4);
-            m.set_threads(threads);
-            assert_eq!(m.threads(), threads.max(1));
-            load_hotspot(&mut m, 4, hot);
-            let stats = m.run_until_halt(1_000_000).expect("halts");
-            let probe = m.global_address(hot, 0).expect("ok");
-            (stats, m.read_word(probe).expect("ok"))
-        };
-        let baseline = run(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(run(threads), baseline, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn relay_forwards_are_counted_through_the_fabric() {
         // A same-row pair with the tile between them dead: both DoR
         // networks use the same row path, so the kernel must pick a
@@ -2321,12 +2105,11 @@ mod tests {
         // The runnable-tile walk plus the wheel's window skips must match
         // the dense sweep bit for bit — stats, memory, the
         // per-core activity counters (which the gap replay reconstructs),
-        // and the runnable-tiles sample — at every thread count.
+        // and the runnable-tiles sample.
         let hot = TileCoord::new(0, 0);
-        let run = |stepping: Stepping, threads: usize| {
+        let run = |stepping: Stepping| {
             let mut m = machine(4);
             m.set_stepping(stepping);
-            m.set_threads(threads);
             load_hotspot(&mut m, 4, hot);
             let stats = m.run_until_halt(1_000_000).expect("halts");
             let probe = m.global_address(hot, 0).expect("ok");
@@ -2337,15 +2120,7 @@ mod tests {
                 m.runnable_tiles().clone(),
             )
         };
-        let baseline = run(Stepping::Dense, 1);
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                run(Stepping::Wheel, threads),
-                baseline,
-                "wheel, threads = {threads}"
-            );
-        }
-        assert_eq!(run(Stepping::Dense, 8), baseline, "dense, threads = 8");
+        assert_eq!(run(Stepping::Wheel), run(Stepping::Dense));
     }
 
     #[test]
@@ -2387,10 +2162,10 @@ mod tests {
     fn blocked_tiles_leave_the_runnable_set() {
         // One issuing tile on a 8x8 machine: while its single remote op
         // is in flight the whole machine has zero runnable tiles, so the
-        // sampled runnable peak stays at 1 and the executor reports the
-        // default wheel path.
+        // sampled runnable peak stays at 1 under the default wheel
+        // stepping.
         let mut m = machine(8);
-        assert_eq!(m.executor(), "wheel");
+        assert_eq!(m.stepping(), Stepping::Wheel);
         let target = m.global_address(TileCoord::new(7, 7), 0).expect("ok");
         let program = Program::builder()
             .ldi(Reg::R1, target)

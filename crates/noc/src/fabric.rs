@@ -17,67 +17,67 @@
 //! is empty. Per-link statistics (forwarded packets, stall cycles, peak
 //! queue occupancy) expose where contention concentrates.
 //!
-//! # Deterministic threading
+//! # The per-cycle contract
 //!
-//! Each tick is split into a *plan* phase and an *apply* phase. Planning
-//! reads only the pre-cycle router state (queue heads, round-robin
-//! pointers, downstream occupancy), so every tile's arbitration decision
-//! is a pure function of the previous cycle and the tiles can be
-//! partitioned into index bands planned by independent worker threads
-//! ([`Fabric::set_threads`]). The apply phase then commits the planned
-//! moves sequentially in canonical `(network, tile, output port)` order.
-//! Because the plan does not depend on the order bands are computed in,
-//! the fabric is **bit-identical at any thread count** — the parallel
-//! backend is an implementation detail, not a different simulator.
+//! A cycle is synchronous, as in the paper's mesh: every router decides
+//! its grants once, against the state its FIFOs held at the *start* of
+//! the cycle. Each output port grants one input-FIFO head round-robin
+//! (one read port per FIFO, so each FIFO pops at most once per cycle); a
+//! granted head moves one hop unless the downstream input FIFO was full
+//! when the cycle began, in which case the link stalls even if that FIFO
+//! also drains this cycle. Moves take effect in canonical `(network,
+//! tile, output port)` order.
 //!
-//! # Data layout and the fused fast path
+//! [`Fabric::tick_into`] realises this in a single pass per network that
+//! decides and applies each occupied tile's grants on the spot, while
+//! every decision still reads pre-cycle state:
+//!
+//! - a tile's grants read a snapshot of its own head routes taken before
+//!   any of its pops, and a grant writes only the round-robin pointer of
+//!   the port it was made on, so a tile's own pops cannot disturb its
+//!   later output ports;
+//! - pop stamps reconstruct the pre-cycle length: each link FIFO pops at
+//!   most once per cycle and stamps the pop with the tick that made it,
+//!   so `len + (popped this tick)` is the length the FIFO held when the
+//!   cycle began;
+//! - arrivals are staged and pushed only after the network's pass, so no
+//!   FIFO grows mid-cycle and no packet moves twice in one cycle;
+//! - ejections resolve after both networks: relay packets reaching their
+//!   intermediate tile re-inject on its local queue, the rest are
+//!   delivered, in the order they were ejected. The two networks share
+//!   no queue state, so walking network 0 fully before network 1 is the
+//!   canonical order.
+//!
+//! `crates/noc/tests/reference_fabric.rs` checks this pass tick by tick
+//! against an independent, deliberately plain reference: a snapshot-then-
+//! commit update over `VecDeque` FIFOs.
+//!
+//! # Data layout
 //!
 //! In-flight packets live in one struct-of-arrays
 //! [`PacketArena`](crate::arena::PacketArena); router FIFOs are
-//! [`PacketRing`](crate::fifo::PacketRing)s of `u32` arena indices, so a
-//! hop moves 4 bytes instead of a ~48-byte packet, and all per-tick
-//! scratch (planned moves, staged arrivals, ejected indices) is owned by
-//! the fabric and cleared, not reallocated — the steady-state tick
-//! performs **zero heap allocations** (pinned by a counting-allocator
-//! regression test).
-//!
-//! The two-pass plan/apply split exists only to keep plan shards
-//! race-free; whenever planning would run on a single shard anyway
-//! (`threads == 1`, or the active set is below the banding threshold),
-//! [`Fabric::tick_into`] takes a *fused* single pass that plans each tile
-//! and applies its grants immediately. Fusion is bit-identical to the
-//! split by construction:
-//!
-//! - grants read a pre-pop snapshot of the tile's own head routes and
-//!   round-robin pointers, so a tile's own pops cannot disturb its later
-//!   output ports;
-//! - pushes (link arrivals) are staged and committed only at the end of
-//!   each network's pass, exactly as the apply phase does;
-//! - the downstream-occupancy backpressure check reconstructs the
-//!   pre-cycle queue length: each FIFO pops at most once per cycle, and
-//!   pops are stamped with the tick that performed them, so
-//!   `len + (popped this tick)` is the length the plan phase would have
-//!   read;
-//! - the two networks share no queue state, so walking net 0 fully
-//!   before net 1 matches the canonical commit order, and relay
-//!   re-injection/delivery is deferred until both passes complete.
+//! [`PacketRing`](crate::fifo::PacketRing)s of packed entries holding an
+//! arena index plus the packet's per-hop hot state, so a hop moves 16
+//! bytes instead of a ~48-byte packet, and all per-tick scratch (staged
+//! arrivals, ejected entries) is owned by the fabric and cleared, not
+//! reallocated — the steady-state tick performs **zero heap
+//! allocations** (pinned by a counting-allocator regression test).
 //!
 //! # Active-set scheduling
 //!
-//! A tile whose five input FIFOs are all empty on a network cannot plan a
-//! move, a stall, or a round-robin update on that network, so sweeping it
+//! A tile whose five input FIFOs are all empty on a network cannot make
+//! a move, a stall, or a round-robin update on that network, so sweeping it
 //! is pure overhead. Each [`Network`] therefore keeps a per-tile occupancy
 //! count plus one flat occupancy bitmask (`occ_mask`, bit `t % 64` of word
 //! `t / 64` set iff tile `t` holds a packet), both maintained at every
-//! push and pop. Every tick — fused or split, in either stepping mode —
-//! walks the set bits with `trailing_zeros` in ascending tile order, so
-//! the planned move stream, and therefore every counter and every packet,
-//! is exactly the one a sweep over all tiles would produce, at any array
-//! width and any thread count. The per-tick active-set sample is the
-//! O(1) occupied-tile counter, not a walk.
+//! push and pop. Every tick, in either stepping mode, walks the set bits
+//! with `trailing_zeros` in ascending tile order, so the move stream, and
+//! therefore every counter and every packet, is exactly the one a sweep
+//! over all tiles would produce, at any array width. The per-tick
+//! active-set sample is the O(1) occupied-tile counter, not a walk.
 //!
-//! [`Stepping`] only decides what happens *between* ticks and how many
-//! shards plan a tick: under the default [`Stepping::Wheel`] the callers
+//! [`Stepping`] only decides what happens *between* ticks: under the
+//! default [`Stepping::Wheel`] the callers
 //! ([`crate::traffic::NocSim`], the machine) jump an empty fabric across
 //! idle windows with [`Fabric::skip_cycles`], which replays the skipped
 //! per-cycle bookkeeping in bulk; [`Stepping::Dense`] ticks every cycle
@@ -107,10 +107,7 @@
 //! assert_eq!(delivered[0].kind, PacketKind::Request);
 //! ```
 
-use std::ops::Range;
-use std::sync::Arc;
-
-use wsp_common::parallel::{band_ranges_into, AdaptiveExecutor, Stepping, WorkerPool};
+use wsp_common::parallel::Stepping;
 use wsp_telemetry::{
     DigestJournal, Fnv1a, Histogram, LaneId, NoopSink, PhaseProfiler, Sink, TimeSeries,
 };
@@ -296,7 +293,7 @@ impl FabricPacket {
 }
 
 /// Per-tile router hot state, packed into exactly one cache line so a
-/// plan or fused visit touches one line for its own arbitration state and
+/// tile visit touches one line for its own arbitration state and
 /// one line per downstream backpressure probe. The tick loop is
 /// memory-bound on random tile access; this layout is the perf lever.
 #[repr(C, align(64))]
@@ -308,7 +305,7 @@ struct Router {
     /// with `popped_at` so the backpressure probe is one line.
     link_len: [u16; 4],
     /// Routing decision at each FIFO head (`EMPTY_HEAD` when empty), so
-    /// the plan reads a flat `[u8; 5]` instead of chasing five queue
+    /// arbitration reads a flat `[u8; 5]` instead of chasing five queue
     /// heads through the routing kernel. Valid because a queued packet's
     /// route is fixed while it waits: the only `leg` mutation happens
     /// between an eject pop and a fresh relay [`push`](Network::push).
@@ -316,10 +313,10 @@ struct Router {
     /// Round-robin pointers, one per output port; values 0..5.
     rr: [u8; 5],
     /// Tick stamp of the most recent pop from each link-side FIFO. The
-    /// fused fast path reconstructs a downstream FIFO's pre-cycle length
-    /// as `len + (popped_at == current tick)` — valid because each FIFO
-    /// pops at most once per cycle and pushes are deferred to the end of
-    /// the network pass.
+    /// tick reconstructs a downstream FIFO's pre-cycle length as
+    /// `len + (popped_at == current tick)` — valid because each FIFO pops
+    /// at most once per cycle and pushes are deferred to the end of the
+    /// network pass.
     popped_at: [u64; 4],
 }
 
@@ -349,7 +346,7 @@ struct Network {
     /// One-cache-line hot state per tile; see [`Router`].
     routers: Vec<Router>,
     /// Packets queued at each tile across all five FIFOs. The invariant
-    /// `occ[t] > 0 ⟺ t can plan a move/stall/rr-update` is what lets a
+    /// `occ[t] > 0 ⟺ t can make a move/stall/rr-update` is what lets a
     /// tick visit only occupied tiles and still match a full sweep.
     occ: Vec<u32>,
     /// Flat occupancy bitmask: bit `t % 64` of `occ_mask[t / 64]` is set
@@ -368,7 +365,7 @@ struct Network {
 impl Network {
     fn new(array: TileArray, queue_capacity: usize) -> Self {
         let tiles = array.tile_count();
-        // Link FIFOs never outgrow the plan phase's backpressure cap; the
+        // Link FIFOs never outgrow the backpressure cap; the
         // local injection FIFO starts at its bounded-inject depth and
         // grows only under `inject_unbounded` response buffering.
         let fresh_queues = || {
@@ -424,12 +421,12 @@ impl Network {
 
     /// Dequeues the head of FIFO `port` at `tile_idx`, refreshing the
     /// cached routing decision for the new head (off the ring entry, not
-    /// the arena) and stamping the pop with `tick` (the fused path's
-    /// pre-cycle-length witness). All fabric pops go through here.
+    /// the arena) and stamping the pop with `tick` (the pre-cycle-length
+    /// witness). All fabric pops go through here.
     #[inline]
     fn pop(&mut self, tile_idx: usize, port: usize, tick: u64) -> RingEntry {
         let queue = &mut self.queues[tile_idx][port];
-        let entry = queue.pop().expect("planned head");
+        let entry = queue.pop().expect("granted head");
         let head_out = match queue.front() {
             Some(next) => next.out(),
             None => EMPTY_HEAD,
@@ -467,30 +464,6 @@ impl Network {
     }
 }
 
-/// Calls `visit` on every set bit of `mask` whose index lies in `band`,
-/// in ascending order — a band walk over an occupancy bitmask.
-fn for_each_set_bit(mask: &[u64], band: Range<usize>, mut visit: impl FnMut(usize)) {
-    if band.is_empty() {
-        return;
-    }
-    let first = band.start / 64;
-    for (word, &bits) in mask[first..=(band.end - 1) / 64].iter().enumerate() {
-        let base = (first + word) * 64;
-        let mut bits = bits;
-        // Clip the first and last words to the band boundaries.
-        if base < band.start {
-            bits &= !0u64 << (band.start - base);
-        }
-        if band.end - base < 64 {
-            bits &= (1u64 << (band.end - base)) - 1;
-        }
-        while bits != 0 {
-            visit(base + bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-        }
-    }
-}
-
 /// Per-link counters kept by the fabric. A "link" is the connection
 /// leaving a tile in one of the four directions on one network.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -504,138 +477,18 @@ pub struct LinkStats {
     pub peak_occupancy: usize,
 }
 
-/// One move decided by the plan phase of a tick, to be committed in
-/// canonical order by the apply phase.
-enum PlannedMove {
-    /// The granted head of `(tile, in_port)` ejects at its endpoint.
-    Eject { tile_idx: usize, in_port: usize },
-    /// The granted head of `(tile, in_port)` traverses the `out_port` link
-    /// into `(nb_idx, in_side)`.
-    Forward {
-        tile_idx: usize,
-        in_port: usize,
-        out_port: usize,
-        nb_idx: usize,
-        in_side: usize,
-    },
-    /// An arbitration winner could not traverse `out_port`: the downstream
-    /// FIFO was full at the start of the cycle.
-    Stall { tile_idx: usize, out_port: usize },
-}
-
-/// The immutable pre-cycle state a plan worker reads. Deliberately *not*
-/// `&Fabric`: the telemetry sink is `Send` but not `Sync`, and planning
-/// must never touch it anyway.
-struct PlanCtx<'a> {
-    queue_capacity: usize,
-    /// Precomputed neighbour tile indices per `(tile, direction)`
-    /// ([`NO_NEIGHBOR`] off the edge) — no coordinate math in the loop.
-    neighbors: &'a [[u32; 4]],
-    networks: &'a [Network; 2],
-}
-
-impl PlanCtx<'_> {
-    /// Plans one tile on one network: for every output port, pick the
-    /// round-robin arbitration winner among the input FIFO heads routed
-    /// to it, against pre-cycle queue state only. A tile with all five
-    /// FIFOs empty plans nothing — the fact the bitmask walk leans on.
-    fn plan_tile(&self, network: &Network, tile_idx: usize, moves: &mut Vec<PlannedMove>) {
-        // The cached routing decision per queue head; a head contends for
-        // exactly one output port, so grants never overlap. Fold the five
-        // heads into per-output-port contender bitmasks.
-        let router = &network.routers[tile_idx];
-        let mut want = [0u8; 5];
-        for (in_port, &out) in router.head_out.iter().enumerate() {
-            if out != EMPTY_HEAD {
-                want[out as usize] |= 1 << in_port;
-            }
-        }
-        // `out_port` indexes `rr`/`links` too, not just DIRECTIONS.
-        #[allow(clippy::needless_range_loop)]
-        for out_port in 0..5 {
-            let contenders = u32::from(want[out_port]);
-            if contenders == 0 {
-                continue;
-            }
-            // Branchless round-robin grant: rotate the 5-bit contender
-            // mask so the pointer sits at bit 0; the winner is then the
-            // lowest set bit — exactly the first hit of the old
-            // `(start + o) % 5` scan.
-            let start = usize::from(router.rr[out_port]);
-            let rotated = ((contenders >> start) | (contenders << (5 - start))) & 0x1f;
-            let in_port = (start + rotated.trailing_zeros() as usize) % 5;
-            if out_port == LOCAL {
-                moves.push(PlannedMove::Eject { tile_idx, in_port });
-                continue;
-            }
-            let nb_idx = self.neighbors[tile_idx][out_port];
-            debug_assert_ne!(nb_idx, NO_NEIGHBOR, "DoR never routes off the array");
-            let nb_idx = nb_idx as usize;
-            let in_side = OPPOSITE[out_port];
-            // Pre-cycle occupancy: each input FIFO is fed by one
-            // physical upstream link, so at most one push lands
-            // per cycle and the check cannot oversubscribe.
-            if usize::from(network.routers[nb_idx].link_len[in_side]) < self.queue_capacity {
-                moves.push(PlannedMove::Forward {
-                    tile_idx,
-                    in_port,
-                    out_port,
-                    nb_idx,
-                    in_side,
-                });
-            } else {
-                moves.push(PlannedMove::Stall { tile_idx, out_port });
-            }
-        }
-    }
-
-    /// Plans one band of tiles into the caller's (pre-cleared)
-    /// per-network move buffers, visiting only the band's occupied tiles
-    /// in ascending order. Concatenating consecutive bands' outputs
-    /// replays the whole-array walk exactly.
-    fn plan_band_into(&self, band: Range<usize>, out: &mut [Vec<PlannedMove>; 2]) {
-        for (network, moves) in self.networks.iter().zip(out.iter_mut()) {
-            for_each_set_bit(&network.occ_mask, band.clone(), |tile_idx| {
-                self.plan_tile(network, tile_idx, moves)
-            });
-        }
-    }
-}
-
 /// Reusable per-tick scratch owned by [`Fabric`] — cleared every tick,
 /// reallocated never. Holding these across ticks is what makes the
 /// steady-state tick allocation-free.
 #[derive(Default)]
 struct TickScratch {
-    /// One `[moves; 2]` pair per plan shard. Never shrunk: wheel
-    /// stepping alternates between 1 and `threads()` shards as the
-    /// active set crosses the banding threshold, and shrinking would
-    /// free the idle shards' capacity.
-    shard_plans: Vec<[Vec<PlannedMove>; 2]>,
-    /// Shard tile-index band ranges.
-    bands: Vec<Range<usize>>,
     /// Staged link arrivals `(net, dest tile, in side, entry)` — the
-    /// entry's hop count already bumped — committed in order after the
-    /// moves that produced them.
+    /// entry's hop count already bumped — pushed in order after the
+    /// network's pass.
     arrivals: Vec<(u8, u32, u8, RingEntry)>,
     /// Entries ejected at their endpoint this tick, in canonical
     /// `(network, tile, output port)` order.
     ejected: Vec<RingEntry>,
-}
-
-impl TickScratch {
-    /// Grows `shard_plans` to at least `shards` pairs and clears the
-    /// first `shards` of them for this tick's planning.
-    fn reset_shards(&mut self, shards: usize) {
-        if self.shard_plans.len() < shards {
-            self.shard_plans
-                .resize_with(shards, || [Vec::new(), Vec::new()]);
-        }
-        for pair in &mut self.shard_plans[..shards] {
-            pair[0].clear();
-            pair[1].clear();
-        }
-    }
 }
 
 /// The reusable dual-network fabric engine. See the module docs for the
@@ -670,12 +523,9 @@ pub struct Fabric {
     /// Event-wheel stepping (default) or the dense reference sweep.
     /// Results are bit-identical either way.
     stepping: Stepping,
-    /// Adaptive executor for the plan phase: bands across a worker pool
-    /// when the active set is large enough, inline otherwise.
-    exec: AdaptiveExecutor,
     /// Per-tick active-set sizes (occupied tiles summed over both
     /// networks), sampled in *both* stepping modes so the exported
-    /// telemetry is independent of the mode and thread count.
+    /// telemetry is independent of the mode.
     active_tiles: Histogram,
     /// Telemetry sink; [`NoopSink`] by default so the hot path pays one
     /// `enabled()` virtual call per tick when tracing is off.
@@ -685,15 +535,15 @@ pub struct Fabric {
     /// Per-tick gauge series `(name, series)`: active tiles, per-network
     /// queue occupancy, packets in flight. Sampled from pre-cycle queue
     /// state, so the series are pure functions of architectural state —
-    /// bit-identical across stepping modes and thread counts.
+    /// bit-identical across stepping modes.
     samples: [(&'static str, TimeSeries); 4],
     /// Determinism-digest journal; `None` when digests are off. Lanes are
     /// recorded from post-cycle router state every `journal.every()`
     /// cycles. The machine also records its per-tile lanes here (same
     /// cycle domain — it ticks this fabric once per machine step).
     journal: Option<DigestJournal>,
-    /// Wall-clock attribution of each tick's `plan` and `apply` phases.
-    /// Disabled by default; never feeds deterministic output.
+    /// Wall-clock attribution of each tick (the `fused` phase). Disabled
+    /// by default; never feeds deterministic output.
     profiler: PhaseProfiler,
 }
 
@@ -744,7 +594,6 @@ impl Fabric {
             relay_forwards: 0,
             link_traversals: 0,
             stepping: Stepping::default(),
-            exec: AdaptiveExecutor::default(),
             active_tiles: Histogram::new(),
             sink: Box::new(NoopSink),
             sample_every: 0,
@@ -764,23 +613,6 @@ impl Fabric {
         ]
     }
 
-    /// Plans ticks with `threads` worker shards (tile bands). Results are
-    /// bit-identical at any thread count, including 1; `threads <= 1`
-    /// drops back to inline planning with no pool at all.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.exec = AdaptiveExecutor::new(threads);
-    }
-
-    /// Shares an existing worker pool (e.g. the machine's) for planning.
-    pub fn set_pool(&mut self, pool: Option<Arc<WorkerPool>>) {
-        self.exec = AdaptiveExecutor::from_pool(pool);
-    }
-
-    /// Shards used by the plan phase of each tick.
-    pub fn threads(&self) -> usize {
-        self.exec.threads()
-    }
-
     /// Selects the stepping mode (default: [`Stepping::Wheel`]).
     pub fn set_stepping(&mut self, stepping: Stepping) {
         self.stepping = stepping;
@@ -789,16 +621,6 @@ impl Fabric {
     /// The current stepping mode.
     pub fn stepping(&self) -> Stepping {
         self.stepping
-    }
-
-    /// The execution path ticks currently take, for bench reporting:
-    /// `"wheel"`, `"banded"`, or `"sequential"`.
-    pub fn executor(&self) -> &'static str {
-        match (self.stepping, self.threads()) {
-            (Stepping::Wheel, _) => "wheel",
-            (Stepping::Dense, t) if t > 1 => "banded",
-            (Stepping::Dense, _) => "sequential",
-        }
     }
 
     /// Installs a telemetry sink. Each endpoint delivery then emits a
@@ -845,7 +667,7 @@ impl Fabric {
         self.journal.as_mut()
     }
 
-    /// Turns wall-clock phase profiling of `plan`/`apply` on or off.
+    /// Turns wall-clock phase profiling of the tick (`fused`) on or off.
     pub fn set_profiling(&mut self, on: bool) {
         self.profiler.set_enabled(on);
     }
@@ -958,13 +780,12 @@ impl Fabric {
     /// tile are re-injected on their second leg, and packets reaching
     /// their final endpoint are returned in arbitration order.
     ///
-    /// The grant decisions are planned against the *pre-cycle* state (so
-    /// each input FIFO pops at most once per cycle — one read port per
-    /// FIFO — and a full downstream FIFO stalls the link even if it also
-    /// drains this cycle), then committed sequentially in `(network,
-    /// tile, output port)` order. Planning shards across the worker pool
-    /// when one is installed; see the module docs for why the result is
-    /// bit-identical at any thread count.
+    /// Every grant reads the *pre-cycle* state (so each input FIFO pops
+    /// at most once per cycle — one read port per FIFO — and a full
+    /// downstream FIFO stalls the link even if it also drains this
+    /// cycle), and moves take effect in `(network, tile, output port)`
+    /// order; see the module docs for how one pass per network keeps
+    /// that contract.
     pub fn tick(&mut self) -> Vec<FabricPacket> {
         let mut delivered = Vec::new();
         self.tick_into(&mut delivered);
@@ -980,7 +801,7 @@ impl Fabric {
 
         // Sample the active set in both stepping modes from the O(1)
         // occupied-tile counters: a pure function of queue state, so the
-        // exported histogram is identical across modes and threads.
+        // exported histogram is identical across modes.
         let active = self.networks[0].live + self.networks[1].live;
         self.active_tiles.record(active as u64);
 
@@ -997,29 +818,11 @@ impl Fabric {
             self.samples[3].1.record(cycle, (occ0 + occ1) as f64);
         }
 
-        // Dense bands every tick across the pool; wheel only when the
-        // active set is large enough to pay for the barrier. On a single
-        // shard the plan/apply split buys no parallelism — take the fused
-        // single pass instead (bit-identical; see the module docs).
-        let shards = match self.stepping {
-            Stepping::Dense => self.exec.threads(),
-            Stepping::Wheel => self.exec.shards_for(active),
-        };
-        if shards <= 1 {
-            let fused_timer = self.profiler.start();
-            self.fused_walk(0);
-            self.fused_walk(1);
-            self.resolve_ejected(delivered);
-            self.profiler.stop("fused", fused_timer);
-        } else {
-            let plan_timer = self.profiler.start();
-            self.plan_into_scratch(shards);
-            self.profiler.stop("plan", plan_timer);
-            let apply_timer = self.profiler.start();
-            self.apply_scratch(shards);
-            self.resolve_ejected(delivered);
-            self.profiler.stop("apply", apply_timer);
-        }
+        let fused_timer = self.profiler.start();
+        self.fused_walk(0);
+        self.fused_walk(1);
+        self.resolve_ejected(delivered);
+        self.profiler.stop("fused", fused_timer);
 
         // Digest window boundary: fingerprint every router's post-cycle
         // state (queue contents and round-robin pointers) into per-lane
@@ -1042,87 +845,14 @@ impl Fabric {
         }
     }
 
-    /// The two-pass plan phase, sharded into `shards` tile-index bands
-    /// across the executor into the reusable scratch buffers.
-    fn plan_into_scratch(&mut self, shards: usize) {
-        let tiles = self.array.tile_count();
-        let Fabric {
-            queue_capacity,
-            neighbors,
-            networks,
-            exec,
-            scratch,
-            ..
-        } = self;
-        let ctx = PlanCtx {
-            queue_capacity: *queue_capacity,
-            neighbors,
-            networks,
-        };
-        scratch.reset_shards(shards);
-        band_ranges_into(tiles, shards, &mut scratch.bands);
-        let bands = &scratch.bands;
-        exec.run_mut(&mut scratch.shard_plans[..shards], |shard, out| {
-            ctx.plan_band_into(bands[shard].clone(), out)
-        });
-    }
-
-    /// The two-pass apply phase: commits the planned moves of the first
-    /// `shards` scratch buffers sequentially. Bands are concatenated in
-    /// tile order, so this replays the canonical sequential
-    /// `(network, tile, out_port)` walk.
-    fn apply_scratch(&mut self, shards: usize) {
-        let tick = self.ticks;
-        let shard_plans = std::mem::take(&mut self.scratch.shard_plans);
-        for net_idx in 0..2 {
-            for band_plan in &shard_plans[..shards] {
-                for mv in &band_plan[net_idx] {
-                    match *mv {
-                        PlannedMove::Eject { tile_idx, in_port } => {
-                            let network = &mut self.networks[net_idx];
-                            let entry = network.pop(tile_idx, in_port, tick);
-                            network.routers[tile_idx].rr[LOCAL] = ((in_port + 1) % 5) as u8;
-                            self.scratch.ejected.push(entry);
-                        }
-                        PlannedMove::Forward {
-                            tile_idx,
-                            in_port,
-                            out_port,
-                            nb_idx,
-                            in_side,
-                        } => {
-                            let network = &mut self.networks[net_idx];
-                            let entry = network.pop(tile_idx, in_port, tick);
-                            network.routers[tile_idx].rr[out_port] = ((in_port + 1) % 5) as u8;
-                            // Link stats land in `commit_arrivals`, which
-                            // touches the same cache lines anyway.
-                            self.scratch.arrivals.push((
-                                net_idx as u8,
-                                nb_idx as u32,
-                                in_side as u8,
-                                entry.bumped(),
-                            ));
-                        }
-                        PlannedMove::Stall { tile_idx, out_port } => {
-                            self.links[net_idx][tile_idx][out_port].stall_cycles += 1;
-                        }
-                    }
-                }
-            }
-        }
-        self.scratch.shard_plans = shard_plans;
-        self.commit_arrivals();
-    }
-
-    /// The fused single-pass walk of one network: plans each occupied
-    /// tile against reconstructed pre-cycle state and applies its grants
+    /// The single pass over one network: decides each occupied tile's
+    /// grants against reconstructed pre-cycle state and applies them
     /// immediately, staging arrivals until the pass completes. See the
-    /// module docs for the bit-identity argument.
+    /// module docs for the pre-cycle contract.
     fn fused_walk(&mut self, net_idx: usize) {
         // Copy each mask word before walking it: the walk only clears
         // bits of the tile it is visiting (pops at that tile), and pushes
-        // are staged, so the copy is exactly the pre-cycle occupancy the
-        // two-pass plan would read.
+        // are staged, so the copy is exactly the pre-cycle occupancy.
         for word in 0..self.networks[net_idx].occ_mask.len() {
             let mut bits = self.networks[net_idx].occ_mask[word];
             while bits != 0 {
@@ -1133,7 +863,7 @@ impl Fabric {
         self.commit_arrivals();
     }
 
-    /// Plans and applies one tile on one network inside a fused pass.
+    /// Decides and applies one tile's grants on one network.
     fn fuse_tile(&mut self, net_idx: usize, tile_idx: usize) {
         let tick = self.ticks;
         let Fabric {
@@ -1146,7 +876,7 @@ impl Fabric {
         } = self;
         let network = &mut networks[net_idx];
         // Snapshot the head routes before any of this tile's own pops
-        // refresh them — the pre-cycle state the plan phase reads.
+        // refresh them — the pre-cycle heads.
         let head_out = network.routers[tile_idx].head_out;
         let mut want = [0u8; 5];
         for (in_port, &out) in head_out.iter().enumerate() {
@@ -1161,6 +891,9 @@ impl Fabric {
             if contenders == 0 {
                 continue;
             }
+            // Branchless round-robin grant: rotate the 5-bit contender
+            // mask so the pointer sits at bit 0; the winner is then the
+            // lowest set bit — the first hit of a `(start + o) % 5` scan.
             let start = usize::from(network.routers[tile_idx].rr[out_port]);
             let rotated = ((contenders >> start) | (contenders << (5 - start))) & 0x1f;
             let in_port = (start + rotated.trailing_zeros() as usize) % 5;
@@ -1176,8 +909,10 @@ impl Fabric {
             let in_side = OPPOSITE[out_port];
             // Pre-cycle occupancy of the downstream FIFO: it pops at
             // most once per cycle (stamped), and its arrivals are still
-            // staged, so adding the pop back reconstructs the length
-            // the plan phase would have read. One cache line: the
+            // staged, so adding the pop back reconstructs the length it
+            // held when the cycle began. Each input FIFO is fed by one
+            // upstream link, so at most one push lands per cycle and
+            // the check cannot oversubscribe. One cache line: the
             // neighbour's length mirror and pop stamp share a `Router`.
             let nb_router = &network.routers[nb_idx];
             let pre_len = usize::from(nb_router.link_len[in_side])
@@ -1482,7 +1217,7 @@ impl Fabric {
         sink.gauge_set("fabric.cycles", self.cycle as f64);
         // Active-set occupancy: sampled per tick in both stepping modes
         // from queue state alone, so these values are identical across
-        // modes and thread counts (the CI smoke gate byte-compares them).
+        // modes (the CI smoke gate byte-compares them).
         sink.gauge_set("fabric.active_tiles_mean", self.active_tiles.mean());
         sink.gauge_set("fabric.active_tiles_peak", self.active_tiles.max() as f64);
         sink.histogram_merge("fabric.active_tiles", &self.active_tiles);
@@ -1674,56 +1409,13 @@ mod tests {
     }
 
     #[test]
-    fn ticks_are_bit_identical_across_thread_counts() {
-        // Flood an 8x8 fabric with a hotspot plus background flows, then
-        // compare every delivery, the cycle count, and the per-link
-        // counters against the single-threaded run.
-        let run = |threads: usize| {
-            let mut fabric = Fabric::new(TileArray::new(8, 8), 2);
-            fabric.set_threads(threads);
-            assert_eq!(fabric.threads(), threads.max(1));
-            for _ in 0..3 {
-                for x in 0..8u16 {
-                    for y in 0..8u16 {
-                        if (x, y) == (4, 4) {
-                            continue;
-                        }
-                        let p = direct_req(&mut fabric, (x, y), (4, 4));
-                        fabric.inject(p);
-                        let q = direct_req(&mut fabric, (x, y), (y, x));
-                        fabric.inject(q);
-                    }
-                }
-            }
-            let delivered: Vec<(u64, u32, u64)> = fabric
-                .drain()
-                .into_iter()
-                .map(|p| (p.id, p.hops, p.injected_at))
-                .collect();
-            (
-                delivered,
-                fabric.cycle(),
-                fabric.link_traversals(),
-                fabric.total_stall_cycles(),
-                fabric.peak_link_occupancy(),
-                fabric.utilization_heatmap(),
-            )
-        };
-        let baseline = run(1);
-        for threads in [2, 3, 5, 8] {
-            assert_eq!(run(threads), baseline, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn wheel_stepping_is_bit_identical_to_dense() {
-        // Same hotspot-plus-background flood as the thread-count test,
-        // compared across the dense/wheel × thread-count matrix. The
-        // active-set histogram must match too: it is sampled from queue
-        // state, not from the scheduler's own work list.
-        let run = |stepping: Stepping, threads: usize| {
+        // A hotspot flood plus background transpose flows, compared
+        // across stepping modes. The active-set histogram must match
+        // too: it is sampled from queue state, not from the scheduler's
+        // own work list.
+        let run = |stepping: Stepping| {
             let mut fabric = Fabric::new(TileArray::new(8, 8), 2);
-            fabric.set_threads(threads);
             fabric.set_stepping(stepping);
             for _ in 0..3 {
                 for x in 0..8u16 {
@@ -1753,90 +1445,9 @@ mod tests {
                 fabric.active_tiles().clone(),
             )
         };
-        let baseline = run(Stepping::Dense, 1);
+        let baseline = run(Stepping::Dense);
         assert!(baseline.6.count() > 0, "active-set samples recorded");
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                run(Stepping::Wheel, threads),
-                baseline,
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn fused_dense_matches_the_pooled_two_pass_sweep() {
-        // threads == 1 takes the fused single pass; a pool forces the
-        // two-pass plan/apply split. Same flood, byte-identical results.
-        let run = |threads: usize| {
-            let mut fabric = Fabric::new(TileArray::new(8, 8), 2);
-            fabric.set_stepping(Stepping::Dense);
-            fabric.set_threads(threads);
-            for _ in 0..3 {
-                for x in 0..8u16 {
-                    for y in 0..8u16 {
-                        if (x, y) == (4, 4) {
-                            continue;
-                        }
-                        let p = direct_req(&mut fabric, (x, y), (4, 4));
-                        fabric.inject(p);
-                        let q = direct_req(&mut fabric, (x, y), (y, x));
-                        fabric.inject(q);
-                    }
-                }
-            }
-            let delivered: Vec<(u64, u32, u64)> = fabric
-                .drain()
-                .into_iter()
-                .map(|p| (p.id, p.hops, p.injected_at))
-                .collect();
-            (
-                delivered,
-                fabric.cycle(),
-                fabric.link_traversals(),
-                fabric.total_stall_cycles(),
-                fabric.peak_link_occupancy(),
-                fabric.utilization_heatmap(),
-            )
-        };
-        let fused = run(1);
-        for threads in [2, 8] {
-            assert_eq!(run(threads), fused, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn fused_wheel_matches_the_sharded_two_pass_walk() {
-        // A 32x32 all-tiles flood keeps the active set above the banding
-        // threshold (64 x threads), so the threaded run genuinely shards
-        // its tile bands while threads == 1 takes the fused pass.
-        let run = |threads: usize| {
-            let mut fabric = Fabric::new(TileArray::new(32, 32), 2);
-            fabric.set_threads(threads);
-            for x in 0..32u16 {
-                for y in 0..32u16 {
-                    let p = direct_req(&mut fabric, (x, y), (31 - x, 31 - y));
-                    fabric.inject(p);
-                    let q = direct_req(&mut fabric, (x, y), (y, x));
-                    fabric.inject(q);
-                }
-            }
-            let delivered: Vec<(u64, u32, u64)> = fabric
-                .drain()
-                .into_iter()
-                .map(|p| (p.id, p.hops, p.injected_at))
-                .collect();
-            (
-                delivered,
-                fabric.cycle(),
-                fabric.link_traversals(),
-                fabric.total_stall_cycles(),
-                fabric.peak_link_occupancy(),
-                fabric.utilization_heatmap(),
-            )
-        };
-        let fused = run(1);
-        assert_eq!(run(8), fused);
+        assert_eq!(run(Stepping::Wheel), baseline);
     }
 
     #[test]
@@ -1876,7 +1487,7 @@ mod tests {
         // One packet on a big array: only the tiles along the path are
         // ever occupied, so only they are ever visited.
         let mut fabric = Fabric::new(TileArray::new(16, 16), 4);
-        assert_eq!(fabric.executor(), "wheel");
+        assert_eq!(fabric.stepping(), Stepping::Wheel);
         let p = direct_req(&mut fabric, (0, 0), (3, 0));
         assert!(fabric.inject(p));
         let delivered = fabric.drain();
@@ -1884,31 +1495,6 @@ mod tests {
         let active = fabric.active_tiles();
         assert_eq!(active.max(), 1, "a single flit occupies one tile per tick");
         assert_eq!(fabric.in_flight(), 0);
-    }
-
-    #[test]
-    fn set_bit_walk_clips_to_band_boundaries() {
-        // A mask spanning three words (a partial last word, as for a
-        // 130-tile array) against a per-index filter, over every band.
-        let mut mask = vec![0u64; 3];
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        for tile in 0..130 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            if state >> 62 != 0 {
-                mask[tile / 64] |= 1 << (tile % 64);
-            }
-        }
-        let set = |t: usize| mask[t / 64] >> (t % 64) & 1 == 1;
-        for start in 0..=130 {
-            for end in start..=130 {
-                let mut seen = Vec::new();
-                for_each_set_bit(&mask, start..end, |t| seen.push(t));
-                let want: Vec<usize> = (start..end).filter(|&t| set(t)).collect();
-                assert_eq!(seen, want, "band {start}..{end}");
-            }
-        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::fmt;
 /// buffer by doubling (amortised), which only the *local injection* FIFO
 /// ever exercises — `Fabric::inject_unbounded` models response traffic
 /// buffered in the tile's local memory, so that queue has no hard cap.
-/// Link FIFOs are bounded by the plan phase's backpressure check and stay
+/// Link FIFOs are bounded by the tick's backpressure check and stay
 /// at their construction capacity forever.
 ///
 /// Entries default to `u32` arena indices rather than packets: a "move"

@@ -5,7 +5,7 @@
 //! wrap-around at tiny FIFO capacities, drain-to-empty occupancy
 //! clearing, slot recycling, and the occupancy-bitmask walk on array
 //! shapes that do not fill whole 64-bit words — swept across
-//! fault-map × stepping × threads.
+//! fault-map × stepping.
 
 use std::collections::HashMap;
 
@@ -52,7 +52,7 @@ fn inject_random_pairs(
 }
 
 /// The observable identity of a delivered packet, for bit-identity
-/// comparisons across executor configurations.
+/// comparisons across stepping modes.
 fn delivery_key(p: &FabricPacket) -> (u64, TileCoord, TileCoord, u64, u32) {
     (p.id, p.src, p.dst, p.injected_at, p.hops)
 }
@@ -196,9 +196,9 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 
-    /// Every `{stepping, threads}` executor configuration replays the
-    /// dense single-thread reference bit for bit — same deliveries in
-    /// the same order each cycle, same link traversals — at any ring
+    /// Either stepping mode replays the dense reference bit for bit —
+    /// same deliveries in the same order each cycle, same link
+    /// traversals — at any ring
     /// capacity (capacity 1 forces wrap-around on every push/pop pair),
     /// under any fault map, and both drain to an empty arena.
     #[test]
@@ -210,7 +210,6 @@ proptest! {
         attempts in 1usize..48,
         seed in 0u64..500,
         stepping_idx in 0usize..2,
-        threads in 1usize..5,
     ) {
         let array = TileArray::new(cols, rows);
         let mut rng = wsp_common::seeded_rng(seed.wrapping_mul(17).wrapping_add(3));
@@ -223,7 +222,6 @@ proptest! {
         reference.set_stepping(Stepping::Dense);
         let mut variant = Fabric::new(array, queue_capacity);
         variant.set_stepping(STEPPINGS[stepping_idx]);
-        variant.set_threads(threads);
 
         let (injected_ref, _) = inject_random_pairs(&mut reference, &faults, attempts, seed);
         let (injected_var, _) = inject_random_pairs(&mut variant, &faults, attempts, seed);
@@ -290,13 +288,11 @@ proptest! {
         attempts in 1usize..32,
         seed in 0u64..500,
         stepping_idx in 0usize..2,
-        threads in 1usize..3,
     ) {
         let array = TileArray::new(5, 5);
         let faults = FaultMap::none(array);
         let mut fabric = Fabric::new(array, queue_capacity);
         fabric.set_stepping(STEPPINGS[stepping_idx]);
-        fabric.set_threads(threads);
 
         let (injected, _) = inject_random_pairs(&mut fabric, &faults, attempts, seed);
         let delivered = fabric.drain().len() as u64;
@@ -316,13 +312,12 @@ proptest! {
         prop_assert_eq!(fabric.arena_live(), 0);
     }
 
-    /// The flat occupancy-bitmask walk replays the dense single-thread
-    /// reference on arrays whose tile count is not a multiple of 64 or
-    /// whose width exceeds 64 columns: the same delivery batch (order
-    /// included) every tick, two injection waves apart, and afterwards
-    /// identical per-link counters, active-set histograms and executed
-    /// tick counts — at every stepping mode and thread count (a pool
-    /// forces the tile-band split, whose bands clip mask words).
+    /// The flat occupancy-bitmask walk replays the dense reference on
+    /// arrays whose tile count is not a multiple of 64 or whose width
+    /// exceeds 64 columns: the same delivery batch (order included)
+    /// every tick, two injection waves apart, and afterwards identical
+    /// per-link counters, active-set histograms and executed tick counts
+    /// — in either stepping mode.
     #[test]
     fn odd_shapes_replay_the_dense_reference(
         shape_idx in 0usize..6,
@@ -330,7 +325,6 @@ proptest! {
         attempts in 1usize..400,
         seed in 0u64..500,
         stepping_idx in 0usize..2,
-        threads in 1usize..4,
     ) {
         let (cols, rows) = ODD_SHAPES[shape_idx];
         let array = TileArray::new(cols, rows);
@@ -338,7 +332,6 @@ proptest! {
         reference.set_stepping(Stepping::Dense);
         let mut variant = Fabric::new(array, queue_capacity);
         variant.set_stepping(STEPPINGS[stepping_idx]);
-        variant.set_threads(threads);
 
         let mut batch_ref = Vec::new();
         let mut batch_var = Vec::new();
@@ -370,13 +363,11 @@ proptest! {
     fn odd_shape_bursts_skip_idle_gaps_identically(
         shape_idx in 0usize..6,
         seed in 0u64..500,
-        threads in 1usize..3,
     ) {
         let (cols, rows) = ODD_SHAPES[shape_idx];
         let run = |stepping: Stepping| {
             let mut sim = NocSim::new(FaultMap::none(TileArray::new(cols, rows)), SimConfig::default());
             sim.fabric_mut().set_stepping(stepping);
-            sim.fabric_mut().set_threads(threads);
             let mut rng = wsp_common::seeded_rng(seed);
             let report = sim.run_bursts(TrafficPattern::UniformRandom, 3, 4, 300, &mut rng);
             let fabric = sim.fabric();

@@ -149,11 +149,21 @@ impl ServeCampaign {
         }
         campaign.clock = parse_one(lines.next(), "clock")?;
         campaign.next_arrival = parse_one(lines.next(), "next_arrival")? as usize;
-        campaign.queue = parse_ids(lines.next(), "queue")?
+        let job_count = campaign.config.jobs.len();
+        let job_ids = |line: Option<&str>, key: &str| {
+            let ids = parse_ids(line, key)?;
+            match ids.iter().find(|&&id| id as usize >= job_count) {
+                Some(bad) => Err(format!(
+                    "{key} job id {bad} outside the {job_count}-job stream"
+                )),
+                None => Ok(ids),
+            }
+        };
+        campaign.queue = job_ids(lines.next(), "queue")?
             .into_iter()
             .collect::<VecDeque<u32>>();
-        campaign.completed = parse_ids(lines.next(), "completed")?;
-        campaign.dropped = parse_ids(lines.next(), "dropped")?;
+        campaign.completed = job_ids(lines.next(), "completed")?;
+        campaign.dropped = job_ids(lines.next(), "dropped")?;
         campaign.incorrect = parse_one(lines.next(), "incorrect")?;
         let fault_ids = parse_ids(lines.next(), "faults")?;
         let wafer_array = campaign.config.wafer;
@@ -193,7 +203,28 @@ impl ServeCampaign {
                 None => None,
                 Some("p") => {
                     let job: u32 = field(f.next(), "pending job")?;
+                    let arrival = campaign
+                        .config
+                        .jobs
+                        .get(job as usize)
+                        .ok_or_else(|| {
+                            format!("pending job id {job} outside the {job_count}-job stream")
+                        })?
+                        .arrival;
                     let dispatched_at: u64 = field(f.next(), "dispatch cycle")?;
+                    if dispatched_at < arrival {
+                        return Err(format!(
+                            "pending job {job} dispatched at cycle {dispatched_at}, \
+                             before its arrival at {arrival}"
+                        ));
+                    }
+                    if state.busy_until < dispatched_at {
+                        return Err(format!(
+                            "pending job {job} completes at cycle {}, \
+                             before its dispatch at {dispatched_at}",
+                            state.busy_until
+                        ));
+                    }
                     let digest = u64::from_str_radix(f.next().ok_or("missing pending digest")?, 16)
                         .map_err(|e| format!("bad pending digest: {e}"))?;
                     let correct: u8 = field(f.next(), "correct flag")?;
@@ -335,5 +366,80 @@ mod tests {
         assert!(ServeCampaign::restore(config(), "not a snapshot")
             .unwrap_err()
             .contains(SNAPSHOT_MAGIC));
+    }
+
+    /// `snap` with the line starting `key ` replaced by `line`.
+    fn with_line(snap: &str, key: &str, line: &str) -> String {
+        let prefix = format!("{key} ");
+        let mut replaced = 0;
+        let out: Vec<&str> = snap
+            .lines()
+            .map(|l| {
+                if l == key || l.starts_with(&prefix) {
+                    replaced += 1;
+                    line
+                } else {
+                    l
+                }
+            })
+            .collect();
+        assert_eq!(replaced, 1, "exactly one {key} line");
+        out.join("\n") + "\n"
+    }
+
+    #[test]
+    fn snapshot_rejects_out_of_range_job_ids() {
+        let mut campaign = ServeCampaign::new(config()).expect("valid");
+        campaign.run_until_completed(3);
+        let snap = campaign.snapshot();
+        for (key, line) in [
+            ("queue", "queue 999"),
+            ("completed", "completed 0 14"),
+            ("dropped", "dropped 999"),
+        ] {
+            let err = ServeCampaign::restore(config(), &with_line(&snap, key, line))
+                .expect_err("tampered ids must not restore");
+            assert!(err.contains("outside the 14-job stream"), "{key}: {err}");
+        }
+    }
+
+    #[test]
+    fn snapshot_rejects_impossible_pending_jobs() {
+        let mut campaign = ServeCampaign::new(config()).expect("valid");
+        while campaign.slices.iter().all(|s| s.pending.is_none()) {
+            assert!(campaign.step(), "some job gets dispatched");
+        }
+        let (idx, pending) = campaign
+            .slices
+            .iter()
+            .enumerate()
+            .find_map(|(i, s)| s.pending.map(|p| (i, p)))
+            .expect("a slice is busy");
+        let slice = &campaign.slices[idx];
+        let snap = campaign.snapshot();
+        let arrival = campaign.config.jobs[pending.job as usize].arrival;
+        let tampered = |job: u32, dispatched_at: u64| {
+            with_line(
+                &snap,
+                &format!("s {idx}"),
+                &format!(
+                    "s {idx} 0 {} {} p {job} {dispatched_at} {:016x} 1",
+                    slice.busy_until, slice.busy_cycles, pending.digest
+                ),
+            )
+        };
+        let err = ServeCampaign::restore(config(), &tampered(999, pending.dispatched_at))
+            .expect_err("pending id out of range");
+        assert!(err.contains("outside the 14-job stream"), "{err}");
+        assert!(arrival > 0, "the stream's first arrival is after cycle 0");
+        let err = ServeCampaign::restore(config(), &tampered(pending.job, arrival - 1))
+            .expect_err("dispatch before arrival");
+        assert!(err.contains("before its arrival"), "{err}");
+        let err = ServeCampaign::restore(config(), &tampered(pending.job, slice.busy_until + 1))
+            .expect_err("dispatch after completion");
+        assert!(err.contains("before its dispatch"), "{err}");
+        // The untampered line still restores.
+        let same = tampered(pending.job, pending.dispatched_at);
+        ServeCampaign::restore(config(), &same).expect("untampered pending job restores");
     }
 }

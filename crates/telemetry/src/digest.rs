@@ -82,6 +82,18 @@ impl Fnv1a {
     }
 }
 
+/// A seedless [`std::hash::Hasher`], so a hash map keyed through it grows
+/// (and allocates) as a deterministic function of the keys inserted.
+impl std::hash::Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_bytes(bytes);
+    }
+}
+
 /// Identity of one digested state lane. The `Ord` derivation (networks
 /// before machine tiles, ascending indices) fixes which lane a
 /// divergence report names when several differ in the same window.

@@ -43,7 +43,7 @@ const PAGE_WORDS: usize = PAGE_BYTES / 4;
 ///
 /// This is [`MemoryChiplet::bank_of`] without the chiplet: the mapping
 /// depends only on the address, so shared-memory validation (e.g. a
-/// machine shard checking a *remote* tile's bank before queueing a fabric
+/// machine core checking a *remote* tile's bank before queueing a fabric
 /// request) can run without touching the owner's memory instance.
 ///
 /// # Errors

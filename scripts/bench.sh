@@ -10,12 +10,12 @@
 #   ./scripts/bench.sh --criterion # also run the arena_vs_vecdeque
 #                                  # micro-bench (criterion, ~1 min)
 #
-# Every binary runs with --threads 1 unless WSP_THREADS=<n> sets another
-# worker count. Results are bit-identical at any count, but the phase
-# profile is not: with more than one thread the full-wafer fabric ticks
-# take the split plan/apply path, and check.sh's perf-shape gate on the
-# committed BENCH_noc.json expects the single-thread fused path. Pinning
-# the count keeps that gate independent of the host's core count.
+# fig2_droop runs its red/black PDN solver with --threads 1 unless
+# WSP_THREADS=<n> sets another worker count; the solution is
+# bit-identical at any count, but the pin keeps fig2_droop's wall-clock
+# gauges independent of the host's core count. The other binaries take
+# no thread count: the fabric and the machine step each cycle on one
+# thread.
 #
 # Full-run artefacts land in the repo root:
 #   BENCH_noc.json       fig7_network  (NoC request/response metrics)
@@ -63,11 +63,11 @@ run() {
     "target/release/$bin" "$@" >/dev/null
 }
 
-run fig7_network "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_noc.json"
-run workloads "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_machine.json" \
+run fig7_network "${SMOKE[@]}" --json "$OUT/BENCH_noc.json"
+run workloads "${SMOKE[@]}" --json "$OUT/BENCH_machine.json" \
     --trace "$OUT/TRACE_machine.json"
 run fig2_droop "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_pdn.json"
-run serve "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_serve.json"
+run serve "${SMOKE[@]}" --json "$OUT/BENCH_serve.json"
 
 echo "==> validate_json"
 target/release/validate_json \

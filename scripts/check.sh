@@ -17,36 +17,25 @@ cargo build --release
 echo "==> cargo test (every workspace crate's unit, integration and doc tests)"
 cargo test --workspace -q
 
-echo "==> perf-shape gate (committed phase profile takes the fused fast path)"
+echo "==> perf-shape gate (committed phase profile covers the fabric tick)"
 # The committed full-run BENCH_noc.json pins the *shape* of the fabric
 # hot loop, not its wall-clock (ms gauges stay outside tolerances, as
-# wsp-diff does): the full-wafer section must have executed on the fused
-# single-pass plan+apply path. A `fused.calls` counter must be present,
-# and the split-path `plan.calls` / `apply.calls` counters must not be —
-# their reappearance means single-shard ticks silently fell back to the
-# two-pass split, the exact constant-factor regression the data-oriented
-# rewrite removed.
+# wsp-diff does): the full-wafer section's ticks must have been timed
+# under the one `fused` tick phase, so a `fused.calls` counter must be
+# present.
 if ! grep -q '"wall.profile.fabric.full_wafer.fused.calls"' BENCH_noc.json; then
     echo "FAIL: BENCH_noc.json lacks wall.profile.fabric.full_wafer.fused.calls" >&2
-    echo "      (full-wafer fabric ticks no longer take the fused fast path)" >&2
+    echo "      (full-wafer fabric ticks are no longer profiled as the fused tick)" >&2
     exit 1
 fi
-for phase in plan apply; do
-    if grep -q "\"wall.profile.fabric.full_wafer.$phase.calls\"" BENCH_noc.json; then
-        echo "FAIL: BENCH_noc.json records wall.profile.fabric.full_wafer.$phase.calls" >&2
-        echo "      (single-shard full-wafer ticks regressed to the two-pass split)" >&2
-        exit 1
-    fi
-done
-echo "    committed full-wafer profile is fused-only"
+echo "    committed full-wafer profile records the fused tick"
 
 echo "==> bench smoke (smoke artefacts well-formed; written to a temp dir)"
 ./scripts/bench.sh --smoke
 
-echo "==> determinism gate (smoke JSON vs tests/golden, {dense,wheel} x {1,8} threads)"
-# Two claims at once: (1) the parallel backend and the default wheel
-# stepping (active-set walks plus event-wheel skips) are bit-identical
-# to the sequential dense sweep, and (2) the
+echo "==> determinism gate (smoke JSON vs tests/golden, {dense,wheel})"
+# Two claims at once: (1) the default wheel stepping (active-set walks
+# plus event-wheel skips) is bit-identical to the dense sweep, and (2) the
 # default fixed-latency memory backend is byte-identical to the
 # pre-MemoryModel-refactor seed output committed under tests/golden/.
 # The smoke JSON carries only deterministic metrics (no wall-clock
@@ -56,37 +45,34 @@ echo "==> determinism gate (smoke JSON vs tests/golden, {dense,wheel} x {1,8} th
 DET_DIR="$(mktemp -d)"
 trap 'rm -rf "$DET_DIR"' EXIT
 if [ "${WSP_UPDATE_GOLDEN:-0}" = "1" ]; then
-    target/release/fig7_network --smoke --stepping dense --threads 1 \
+    target/release/fig7_network --smoke --stepping dense \
         --json tests/golden/fig7_network_smoke.json >/dev/null
-    target/release/workloads --smoke --stepping dense --threads 1 \
+    target/release/workloads --smoke --stepping dense \
         --json tests/golden/workloads_smoke.json >/dev/null
-    target/release/serve --smoke --stepping dense --threads 1 \
+    target/release/serve --smoke --stepping dense \
         --json tests/golden/serve_smoke.json >/dev/null
     echo "    refreshed tests/golden/*.json (+ .digest sidecars)"
 fi
 for bin in fig7_network workloads serve; do
     golden="tests/golden/${bin}_smoke.json"
     for stepping in dense wheel; do
-        for threads in 1 8; do
-            out="$DET_DIR/$bin-$stepping-t$threads.json"
-            target/release/"$bin" --smoke --stepping "$stepping" --threads "$threads" \
-                --json "$out" >/dev/null
-            if ! cmp -s "$golden" "$out"; then
-                echo "FAIL: $bin smoke JSON differs from $golden at $stepping/$threads" >&2
-                diff "$golden" "$out" >&2 || true
-                exit 1
-            fi
-            # The digest sidecar must match too; on divergence wsp-diff
-            # pinpoints the first bad cycle window and lane.
-            if ! cmp -s "$golden.digest" "$out.digest"; then
-                echo "FAIL: $bin digest journal diverged from $golden.digest at $stepping/$threads" >&2
-                target/release/wsp-diff digest "$golden.digest" "$out.digest" >&2 || true
-                exit 1
-            fi
-        done
+        out="$DET_DIR/$bin-$stepping.json"
+        target/release/"$bin" --smoke --stepping "$stepping" --json "$out" >/dev/null
+        if ! cmp -s "$golden" "$out"; then
+            echo "FAIL: $bin smoke JSON differs from $golden at $stepping" >&2
+            diff "$golden" "$out" >&2 || true
+            exit 1
+        fi
+        # The digest sidecar must match too; on divergence wsp-diff
+        # pinpoints the first bad cycle window and lane.
+        if ! cmp -s "$golden.digest" "$out.digest"; then
+            echo "FAIL: $bin digest journal diverged from $golden.digest at $stepping" >&2
+            target/release/wsp-diff digest "$golden.digest" "$out.digest" >&2 || true
+            exit 1
+        fi
     done
 done
-echo "    byte-identical to the goldens across stepping modes and thread counts"
+echo "    byte-identical to the goldens across stepping modes"
 
 echo "==> serve snapshot gate (snapshot -> restore -> resume is bit-identical)"
 # Checkpoint a serving campaign after 9 of its 24 smoke jobs, restore it
@@ -111,12 +97,12 @@ echo "==> wsp-diff regression gate (bench JSON vs committed baselines)"
 # The tolerance-gated diff must pass on the baselines themselves...
 for bin in fig7_network workloads serve; do
     target/release/wsp-diff bench --tolerances tests/golden/tolerances.txt \
-        "tests/golden/${bin}_smoke.json" "$DET_DIR/$bin-dense-t1.json" \
+        "tests/golden/${bin}_smoke.json" "$DET_DIR/$bin-dense.json" \
         | sed 's/^/    /'
 done
 # ...and must trip on a synthetic out-of-tolerance metric change.
 sed 's/"fabric.cycles":[0-9.]*/"fabric.cycles":1/' \
-    "$DET_DIR/fig7_network-dense-t1.json" > "$DET_DIR/mutated.json"
+    "$DET_DIR/fig7_network-dense.json" > "$DET_DIR/mutated.json"
 if target/release/wsp-diff bench --tolerances tests/golden/tolerances.txt \
     "tests/golden/fig7_network_smoke.json" "$DET_DIR/mutated.json" >/dev/null; then
     echo "FAIL: wsp-diff bench did not flag a mutated metric" >&2

@@ -5,7 +5,7 @@
 //! activity counters, the runnable-tiles telemetry sample, the memory
 //! profile, the sampled time series, and the digest journal — has to
 //! match the dense reference sweep bit for bit, across random seeds,
-//! fault maps, and thread counts.
+//! fault maps, ring capacities and memory backends.
 
 use proptest::prelude::*;
 use waferscale::{LatencyModel, MultiTileMachine, SystemConfig};
@@ -15,9 +15,6 @@ use wsp_noc::{NocSim, SimConfig, TrafficPattern};
 use wsp_tile::isa::{Program, Reg};
 use wsp_tile::MemoryModelKind;
 use wsp_topo::{FaultMap, TileArray, TileCoord};
-
-/// Thread counts exercised against the single-threaded dense baseline.
-const THREADS: [usize; 3] = [1, 2, 8];
 
 /// Fault counts for the 16×16 fabric runs (the fig7 scenario ladder).
 const FABRIC_FAULTS: [usize; 3] = [0, 5, 15];
@@ -42,22 +39,19 @@ fn run_fabric(
     requests: u64,
     pattern: TrafficPattern,
     stepping: Stepping,
-    threads: usize,
 ) -> wsp_noc::SimReport {
-    run_fabric_with_capacity(seed, fault_count, requests, pattern, stepping, threads, 4)
+    run_fabric_with_capacity(seed, fault_count, requests, pattern, stepping, 4)
 }
 
 /// [`run_fabric`] with an explicit ring-buffer FIFO depth, for the
 /// wrap-around and recycling properties (capacity 1 wraps the ring on
 /// every push/pop pair and maximises backpressure stalls).
-#[allow(clippy::too_many_arguments)]
 fn run_fabric_with_capacity(
     seed: u64,
     fault_count: usize,
     requests: u64,
     pattern: TrafficPattern,
     stepping: Stepping,
-    threads: usize,
     queue_capacity: usize,
 ) -> wsp_noc::SimReport {
     let array = TileArray::new(16, 16);
@@ -68,7 +62,6 @@ fn run_fabric_with_capacity(
         ..SimConfig::default()
     };
     let mut sim = NocSim::new(faults, config);
-    sim.fabric_mut().set_threads(threads);
     sim.fabric_mut().set_stepping(stepping);
     sim.run(pattern, requests, &mut rng)
 }
@@ -84,10 +77,9 @@ fn run_machine(
     fault_count: usize,
     reps: u32,
     stepping: Stepping,
-    threads: usize,
     memory: MemoryModelKind,
 ) -> impl PartialEq + std::fmt::Debug {
-    run_machine_on(seed, fault_count, reps, stepping, threads, memory, u16::MAX)
+    run_machine_on(seed, fault_count, reps, stepping, memory, u16::MAX)
 }
 
 /// [`run_machine`] with only the healthy tiles whose row-major index
@@ -98,7 +90,6 @@ fn run_machine_on(
     fault_count: usize,
     reps: u32,
     stepping: Stepping,
-    threads: usize,
     memory: MemoryModelKind,
     participants: u16,
 ) -> impl PartialEq + std::fmt::Debug {
@@ -109,7 +100,6 @@ fn run_machine_on(
         .with_latency_model(LatencyModel::Fabric)
         .with_memory_model(memory);
     let mut m = MultiTileMachine::new(cfg, faults.clone());
-    m.set_threads(threads);
     m.set_stepping(stepping);
     // The observability artifacts ride along in the identity tuple: the
     // wheel's bulk gap replay must reproduce the gauge samples and the
@@ -164,26 +154,24 @@ proptest! {
     /// requests in a non-uniform pattern (transpose, east-neighbour
     /// stencil, or a hot spot) leaves almost every tile idle and most
     /// cycles empty, yet the report still matches the dense sweep bit
-    /// for bit at every thread count, over clean and faulted wafers.
+    /// for bit, over clean and faulted wafers.
     #[test]
     fn sparse_fabric_matches_dense(
         seed in any::<u64>(),
         fault_idx in 0usize..3,
         requests in 1u64..20,
-        threads_idx in 0usize..3,
         pattern_idx in 0usize..3,
         hot_x in 0u16..16,
         hot_y in 0u16..16,
     ) {
         let faults = FABRIC_FAULTS[fault_idx];
-        let threads = THREADS[threads_idx];
         let pattern = [
             TrafficPattern::Transpose,
             TrafficPattern::NeighborEast,
             TrafficPattern::HotSpot { target: TileCoord::new(hot_x, hot_y) },
         ][pattern_idx];
-        let dense = run_fabric(seed, faults, requests, pattern, Stepping::Dense, 1);
-        let wheel = run_fabric(seed, faults, requests, pattern, Stepping::Wheel, threads);
+        let dense = run_fabric(seed, faults, requests, pattern, Stepping::Dense);
+        let wheel = run_fabric(seed, faults, requests, pattern, Stepping::Wheel);
         prop_assert_eq!(dense, wheel);
     }
 
@@ -191,23 +179,20 @@ proptest! {
     /// load no program, so the runnable-tile set stays sparse and the
     /// wheel's gap replay covers long idle stretches — stats, memory,
     /// activity counters and observability artifacts still match the
-    /// dense sweep at every thread count and memory-timing backend.
+    /// dense sweep at every memory-timing backend.
     #[test]
     fn sparse_machine_matches_dense(
         seed in any::<u64>(),
         fault_idx in 0usize..3,
         reps in 1u32..6,
-        threads_idx in 0usize..3,
         mem_idx in 0usize..3,
         tiles in proptest::collection::vec(0usize..16, 1..4),
     ) {
         let faults = MACHINE_FAULTS[fault_idx];
-        let threads = THREADS[threads_idx];
         let memory = MEMORY[mem_idx];
         let participants = tiles.iter().fold(0u16, |mask, &t| mask | 1 << t);
-        let dense = run_machine_on(seed, faults, reps, Stepping::Dense, 1, memory, participants);
-        let wheel =
-            run_machine_on(seed, faults, reps, Stepping::Wheel, threads, memory, participants);
+        let dense = run_machine_on(seed, faults, reps, Stepping::Dense, memory, participants);
+        let wheel = run_machine_on(seed, faults, reps, Stepping::Wheel, memory, participants);
         prop_assert_eq!(dense, wheel);
     }
 
@@ -215,26 +200,24 @@ proptest! {
     /// cycle/stall counters the runnable-tile gap replay reconstructs,
     /// the memory profile, time series and digest journal — is
     /// bit-identical between wheel stepping (including its stalled-window
-    /// jumps) and the dense sweep over random schedules, fault maps,
-    /// memory backends, and thread counts.
+    /// jumps) and the dense sweep over random schedules, fault maps, and
+    /// memory backends.
     #[test]
     fn wheel_machine_matches_dense(
         seed in any::<u64>(),
         fault_idx in 0usize..3,
         reps in 1u32..6,
-        threads_idx in 0usize..3,
         mem_idx in 0usize..3,
     ) {
         let faults = MACHINE_FAULTS[fault_idx];
-        let threads = THREADS[threads_idx];
         let memory = MEMORY[mem_idx];
-        let dense = run_machine(seed, faults, reps, Stepping::Dense, 1, memory);
-        let wheel = run_machine(seed, faults, reps, Stepping::Wheel, threads, memory);
+        let dense = run_machine(seed, faults, reps, Stepping::Dense, memory);
+        let wheel = run_machine(seed, faults, reps, Stepping::Wheel, memory);
         prop_assert_eq!(dense, wheel);
     }
 
     /// Fabric packet delivery is bit-identical between the dense sweep
-    /// and wheel stepping at every thread count, over clean and heavily
+    /// and wheel stepping, over clean and heavily
     /// faulted wafers: with injections running the wheel walks the
     /// occupied tiles each tick, and the drain phase jumps empty windows.
     #[test]
@@ -242,37 +225,33 @@ proptest! {
         seed in any::<u64>(),
         fault_idx in 0usize..3,
         requests in 20u64..150,
-        threads_idx in 0usize..3,
     ) {
         let faults = FABRIC_FAULTS[fault_idx];
-        let threads = THREADS[threads_idx];
         let pattern = TrafficPattern::UniformRandom;
-        let dense = run_fabric(seed, faults, requests, pattern, Stepping::Dense, 1);
-        let wheel = run_fabric(seed, faults, requests, pattern, Stepping::Wheel, threads);
+        let dense = run_fabric(seed, faults, requests, pattern, Stepping::Dense);
+        let wheel = run_fabric(seed, faults, requests, pattern, Stepping::Wheel);
         prop_assert_eq!(dense, wheel);
     }
 
     /// Ring-buffer wrap-around is unobservable: shrinking the FIFO depth
     /// to 1 (every push/pop pair wraps the ring, every contended link
-    /// backpressures) still replays the dense reference bit for bit at
-    /// every stepping mode and thread count, over faulted wafers.
+    /// backpressures) still replays the dense reference bit for bit in
+    /// either stepping mode, over faulted wafers.
     #[test]
     fn tiny_ring_capacity_matches_dense(
         seed in any::<u64>(),
         fault_idx in 0usize..3,
         requests in 20u64..150,
-        threads_idx in 0usize..3,
         stepping_idx in 0usize..2,
         queue_capacity in 1usize..4,
     ) {
         let faults = FABRIC_FAULTS[fault_idx];
-        let threads = THREADS[threads_idx];
         let stepping = [Stepping::Dense, Stepping::Wheel][stepping_idx];
         let pattern = TrafficPattern::UniformRandom;
         let dense = run_fabric_with_capacity(
-            seed, faults, requests, pattern, Stepping::Dense, 1, queue_capacity);
+            seed, faults, requests, pattern, Stepping::Dense, queue_capacity);
         let other = run_fabric_with_capacity(
-            seed, faults, requests, pattern, stepping, threads, queue_capacity);
+            seed, faults, requests, pattern, stepping, queue_capacity);
         prop_assert_eq!(dense, other);
     }
 
@@ -280,14 +259,13 @@ proptest! {
     /// drained campaigns: repeated traffic runs through one fabric leave
     /// no live arena slots behind, the second and later identical
     /// campaigns fit in recycled slots without growing the columns, and
-    /// the cleared masks never wedge a later run — at every stepping mode,
-    /// thread count, and ring capacity, over faulted wafers.
+    /// the cleared masks never wedge a later run — in either stepping
+    /// mode and at every ring capacity, over faulted wafers.
     #[test]
     fn drained_campaigns_recycle_arena_slots(
         seed in any::<u64>(),
         fault_idx in 0usize..3,
         requests in 20u64..100,
-        threads_idx in 0usize..3,
         stepping_idx in 0usize..2,
         queue_capacity in 1usize..4,
     ) {
@@ -296,7 +274,6 @@ proptest! {
         let faults = FaultMap::sample_uniform(array, FABRIC_FAULTS[fault_idx], &mut rng);
         let config = SimConfig { queue_capacity, ..SimConfig::default() };
         let mut sim = NocSim::new(faults, config);
-        sim.fabric_mut().set_threads(THREADS[threads_idx]);
         sim.fabric_mut()
             .set_stepping([Stepping::Dense, Stepping::Wheel][stepping_idx]);
         let mut footprints = Vec::new();

@@ -160,7 +160,7 @@ fn halo_slice_run_allocates_nothing_on_reads() {
     assert!(slice_usable(&wafer, slice.rect));
     let local = restrict_faults(&wafer, slice.rect);
     assert!(local.fault_count() > 0);
-    let mut m = build_halo_slice_machine(&local, 1, Stepping::default(), MemoryModelKind::Fixed);
+    let mut m = build_halo_slice_machine(&local, Stepping::default(), MemoryModelKind::Fixed);
     let array = local.array();
     for t in array.tiles() {
         assert_eq!(m.resident_sram_bytes(t), 0, "fresh slice tile {t}");
