@@ -226,8 +226,8 @@ impl WorkerPool {
 /// Within an executed cycle both modes visit the same work: the `wsp-noc`
 /// fabric walks its occupancy bitmask and the `wsp-core` machine its
 /// runnable tiles. `Wheel` is the default: whenever nothing can make
-/// progress until a known future deadline (an
-/// [`EventWheel`](crate::wheel::EventWheel) entry, a stall expiry),
+/// progress until a known future deadline (a pending response's ready
+/// cycle, a stall expiry),
 /// simulated `now` jumps straight there and the skipped window is
 /// replayed in bulk — bit-identical to executing it (see DESIGN.md
 /// "Simulator internals"). `Dense` executes every cycle (the machine

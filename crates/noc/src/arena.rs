@@ -5,10 +5,10 @@
 //! queue was its own heap allocation. [`PacketArena`] instead keeps each
 //! field in its own parallel column (`id`, `src`, `dst`, `choice`, packed
 //! kind/leg metadata, `injected_at`, `hops`) and hands out `u32` slot
-//! indices. Router FIFOs then queue 4-byte indices
-//! ([`PacketRing`](crate::fifo::PacketRing)), a forward is one index copy
-//! plus a column increment, and the per-field columns stay cache-linear
-//! for the digest and telemetry walks that scan whole queues.
+//! indices. Router FIFOs then queue slot indices packed with the
+//! packet's per-hop state into 16-byte entries, so a forward is one
+//! entry copy, and the per-field columns stay cache-linear for the
+//! digest and telemetry walks that scan whole queues.
 //!
 //! Freed slots go on a free list and are recycled by later allocations,
 //! so a steady-state traffic mix reaches a fixed arena footprint and

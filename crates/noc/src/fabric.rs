@@ -55,13 +55,23 @@
 //! # Data layout
 //!
 //! In-flight packets live in one struct-of-arrays
-//! [`PacketArena`](crate::arena::PacketArena); router FIFOs are
-//! [`PacketRing`](crate::fifo::PacketRing)s of packed entries holding an
-//! arena index plus the packet's per-hop hot state, so a hop moves 16
-//! bytes instead of a ~48-byte packet, and all per-tick scratch (staged
-//! arrivals, ejected entries) is owned by the fabric and cleared, not
-//! reallocated — the steady-state tick performs **zero heap
-//! allocations** (pinned by a counting-allocator regression test).
+//! [`PacketArena`](crate::arena::PacketArena). Router FIFOs hold packed
+//! 16-byte entries: an arena index plus the packet's per-hop hot state,
+//! including its output port at the tile that holds it. A hop therefore
+//! moves 16 bytes instead of a ~48-byte packet. The port comes from an
+//! 18-entry `[network][sign dx][sign dy]` table, with no branches.
+//!
+//! The backpressure check bounds every link FIFO at the link depth, so
+//! each network stores all of them inline, in one flat array of
+//! `depth`-entry rings, with each ring's head and length in its tile's
+//! one-cache-line [`Router`]. Only the local injection FIFO, which
+//! [`Fabric::inject_unbounded`] may grow without a cap, is a
+//! [`PacketRing`](crate::fifo::PacketRing).
+//!
+//! All per-tick scratch (staged arrivals, ejected entries) is owned by
+//! the fabric and cleared, not reallocated — the steady-state tick
+//! performs **zero heap allocations** (pinned by a counting-allocator
+//! regression test).
 //!
 //! # Active-set scheduling
 //!
@@ -116,7 +126,7 @@ use wsp_topo::{Direction, TileArray, TileCoord, DIRECTIONS};
 use crate::arena::PacketArena;
 use crate::fifo::PacketRing;
 use crate::kernel::NetworkChoice;
-use crate::routing::{next_hop, NetworkKind};
+use crate::routing::NetworkKind;
 
 /// Index of the local injection/ejection port in each router's queue array.
 const LOCAL: usize = 4;
@@ -183,21 +193,35 @@ impl RingEntry {
         (self.0 >> 80) as u32
     }
 
+    /// The same entry with its cached output port replaced by `out`.
+    fn with_out(self, out: u8) -> Self {
+        RingEntry(self.0 & !(0xffu128 << 32) | u128::from(out) << 32)
+    }
+
     /// The same entry with one more link traversal recorded.
     fn bumped(self) -> Self {
         RingEntry(self.0 + (1u128 << 80))
     }
 }
 
+/// Output port by `[network][sign dx][sign dy]` (sign index 0 = target
+/// behind, 1 = level, 2 = ahead): XY exhausts x before turning, YX
+/// exhausts y; a packet at its target ejects on [`LOCAL`].
+const PORT_TABLE: [[[u8; 3]; 3]; 2] = [
+    // XY: x first (W / E), then y (N / S).
+    [[3, 3, 3], [0, LOCAL as u8, 1], [2, 2, 2]],
+    // YX: y first (N / S), then x (W / E).
+    [[0, 3, 1], [0, LOCAL as u8, 1], [0, 2, 1]],
+];
+
 /// The output port a packet heading for `target` on `net` takes at
 /// `tile`: the local ejection port at its endpoint, otherwise the
-/// dimension-ordered next-hop direction.
+/// dimension-ordered next-hop direction. One table load, no branches.
 #[inline]
 fn out_port_for(tile: TileCoord, target: TileCoord, net: NetworkKind) -> u8 {
-    match next_hop(tile, target, net) {
-        None => LOCAL as u8,
-        Some(nb) => direction_between(tile, nb) as u8,
-    }
+    let sx = usize::from(target.x > tile.x) + usize::from(target.x >= tile.x);
+    let sy = usize::from(target.y > tile.y) + usize::from(target.y >= tile.y);
+    PORT_TABLE[net as usize][sx][sy]
 }
 
 /// What a packet is doing.
@@ -299,16 +323,19 @@ impl FabricPacket {
 #[repr(C, align(64))]
 #[derive(Clone, Copy)]
 struct Router {
-    /// Mirror of each *link-side* input FIFO's length (ports 0..4; the
-    /// local FIFO is never a forward destination). Exact, because
-    /// [`Fabric::new`] bounds `queue_capacity` to `u16::MAX`; co-located
-    /// with `popped_at` so the backpressure probe is one line.
+    /// Length of each *link-side* input FIFO (ports 0..4; the local FIFO
+    /// is never a forward destination). Exact, because [`Fabric::new`]
+    /// bounds `queue_capacity` to `u16::MAX`; co-located with
+    /// `popped_at` so the backpressure probe is one line.
     link_len: [u16; 4],
+    /// Ring position of each link-side FIFO's head within its slice of
+    /// [`Network::link_slots`].
+    link_head: [u16; 4],
     /// Routing decision at each FIFO head (`EMPTY_HEAD` when empty), so
     /// arbitration reads a flat `[u8; 5]` instead of chasing five queue
     /// heads through the routing kernel. Valid because a queued packet's
     /// route is fixed while it waits: the only `leg` mutation happens
-    /// between an eject pop and a fresh relay [`push`](Network::push).
+    /// between an eject pop and a fresh relay [`push_local`](Network::push_local).
     head_out: [u8; 5],
     /// Round-robin pointers, one per output port; values 0..5.
     rr: [u8; 5],
@@ -324,6 +351,7 @@ impl Router {
     fn new() -> Self {
         Router {
             link_len: [0; 4],
+            link_head: [0; 4],
             head_out: [EMPTY_HEAD; 5],
             rr: [0; 5],
             popped_at: [0; 4],
@@ -334,15 +362,24 @@ impl Router {
 /// One mesh network's router state: five input FIFOs per tile
 /// (N, S, E, W, local injection), plus the active-set tracker.
 ///
-/// FIFOs hold [`PacketArena`] indices; packet fields live in the shared
-/// arena owned by [`Fabric`].
+/// FIFO entries carry the packet's whole per-hop hot state (see
+/// [`RingEntry`]), so the head-route refresh after a pop reads the next
+/// entry off the ring line just touched instead of chasing the next
+/// packet's (cold) arena line — and a forward re-derives the downstream
+/// output port from the entry alone. Packet fields live in the shared
+/// [`PacketArena`] owned by [`Fabric`].
 struct Network {
-    /// Entries carry the packet's whole per-hop hot state (see
-    /// [`RingEntry`]), so the head-route refresh after a pop reads the
-    /// next entry off the ring line just touched instead of chasing the
-    /// next packet's (cold) arena line — and a forward re-derives the
-    /// downstream output port from the entry alone.
-    queues: Vec<[PacketRing<RingEntry>; 5]>,
+    /// Every link-side input FIFO, inline: FIFO `port` of tile `t` is
+    /// the `link_cap`-entry ring `link_slots[(4 * t + port) * link_cap..]`
+    /// whose head and length live in `routers[t]`. The tick's
+    /// backpressure check bounds these FIFOs, so they never grow; at the
+    /// default depth of 4 one FIFO is one cache line of entries.
+    link_slots: Vec<RingEntry>,
+    /// Depth of every link-side FIFO (the fabric's `queue_capacity`).
+    link_cap: usize,
+    /// Each tile's local injection FIFO — the one queue without a hard
+    /// cap, since [`Fabric::inject_unbounded`] buffers responses in it.
+    local: Vec<PacketRing<RingEntry>>,
     /// One-cache-line hot state per tile; see [`Router`].
     routers: Vec<Router>,
     /// Packets queued at each tile across all five FIFOs. The invariant
@@ -365,20 +402,14 @@ struct Network {
 impl Network {
     fn new(array: TileArray, queue_capacity: usize) -> Self {
         let tiles = array.tile_count();
-        // Link FIFOs never outgrow the backpressure cap; the
-        // local injection FIFO starts at its bounded-inject depth and
-        // grows only under `inject_unbounded` response buffering.
-        let fresh_queues = || {
-            [
-                PacketRing::with_capacity(queue_capacity),
-                PacketRing::with_capacity(queue_capacity),
-                PacketRing::with_capacity(queue_capacity),
-                PacketRing::with_capacity(queue_capacity),
-                PacketRing::with_capacity(queue_capacity * LOCAL_QUEUE_FACTOR),
-            ]
-        };
         Network {
-            queues: (0..tiles).map(|_| fresh_queues()).collect(),
+            link_slots: vec![RingEntry::default(); tiles * 4 * queue_capacity],
+            link_cap: queue_capacity,
+            // The local FIFO starts at its bounded-inject depth and grows
+            // only under `inject_unbounded` response buffering.
+            local: (0..tiles)
+                .map(|_| PacketRing::with_capacity(queue_capacity * LOCAL_QUEUE_FACTOR))
+                .collect(),
             routers: vec![Router::new(); tiles],
             occ: vec![0; tiles],
             occ_mask: vec![0; tiles.div_ceil(64)],
@@ -387,58 +418,101 @@ impl Network {
         }
     }
 
-    /// Enqueues arena slot `slot` (heading for `target` on `net`, with
-    /// `hops` traversals so far) into FIFO `port` of `tile_idx`,
-    /// maintaining the occupancy count, the occupancy bitmask, and the
-    /// cached head routing decision. All fabric pushes go
-    /// through here. The slot's output port *at this tile* is computed
-    /// once here and packed into the ring entry, so later head refreshes
-    /// and forwards never go back to the arena.
+    /// Start of FIFO `port`'s ring (a link side, `port < LOCAL`) of
+    /// `tile_idx` in `link_slots`.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        tile: TileCoord,
-        tile_idx: usize,
-        port: usize,
-        slot: u32,
-        target: TileCoord,
-        net: NetworkKind,
-        hops: u32,
-    ) {
-        let out = out_port_for(tile, target, net);
-        let queue = &mut self.queues[tile_idx][port];
-        queue.push(RingEntry::new(slot, out, target, net, hops));
+    fn link_base(&self, tile_idx: usize, port: usize) -> usize {
+        (4 * tile_idx + port) * self.link_cap
+    }
+
+    /// Enqueues `entry`, whose output port at this tile is `entry.out()`,
+    /// into link-side FIFO `port` of `tile_idx`. The caller has checked
+    /// backpressure, so the FIFO has room.
+    #[inline]
+    fn push_link(&mut self, tile_idx: usize, port: usize, entry: RingEntry) {
+        let base = self.link_base(tile_idx, port);
         let router = &mut self.routers[tile_idx];
-        if queue.len() == 1 {
-            router.head_out[port] = out;
+        let len = usize::from(router.link_len[port]);
+        assert!(len < self.link_cap, "backpressure bounds link FIFOs");
+        let mut pos = usize::from(router.link_head[port]) + len;
+        if pos >= self.link_cap {
+            pos -= self.link_cap;
         }
-        if port < LOCAL {
-            router.link_len[port] += 1;
+        self.link_slots[base + pos] = entry;
+        if len == 0 {
+            router.head_out[port] = entry.out();
+        }
+        router.link_len[port] += 1;
+        self.note_push(tile_idx);
+    }
+
+    /// Enqueues `entry` into the local injection FIFO of `tile_idx`.
+    #[inline]
+    fn push_local(&mut self, tile_idx: usize, entry: RingEntry) {
+        let queue = &mut self.local[tile_idx];
+        queue.push(entry);
+        if queue.len() == 1 {
+            self.routers[tile_idx].head_out[LOCAL] = entry.out();
         }
         self.note_push(tile_idx);
     }
 
     /// Dequeues the head of FIFO `port` at `tile_idx`, refreshing the
     /// cached routing decision for the new head (off the ring entry, not
-    /// the arena) and stamping the pop with `tick` (the pre-cycle-length
-    /// witness). All fabric pops go through here.
+    /// the arena) and stamping a link-side pop with `tick` (the
+    /// pre-cycle-length witness). All fabric pops go through here.
     #[inline]
     fn pop(&mut self, tile_idx: usize, port: usize, tick: u64) -> RingEntry {
-        let queue = &mut self.queues[tile_idx][port];
-        let entry = queue.pop().expect("granted head");
-        let head_out = match queue.front() {
-            Some(next) => next.out(),
-            None => EMPTY_HEAD,
-        };
-        let router = &mut self.routers[tile_idx];
-        router.head_out[port] = head_out;
-        if port < LOCAL {
-            router.popped_at[port] = tick;
+        let entry = if port < LOCAL {
+            let base = self.link_base(tile_idx, port);
+            let router = &mut self.routers[tile_idx];
+            assert!(router.link_len[port] > 0, "granted head");
+            let head = usize::from(router.link_head[port]);
+            let entry = self.link_slots[base + head];
+            let next = if head + 1 == self.link_cap {
+                0
+            } else {
+                head + 1
+            };
+            router.link_head[port] = next as u16;
             router.link_len[port] -= 1;
-        }
+            router.head_out[port] = if router.link_len[port] == 0 {
+                EMPTY_HEAD
+            } else {
+                self.link_slots[base + next].out()
+            };
+            router.popped_at[port] = tick;
+            entry
+        } else {
+            let queue = &mut self.local[tile_idx];
+            let entry = queue.pop().expect("granted head");
+            self.routers[tile_idx].head_out[LOCAL] = queue.front().map_or(EMPTY_HEAD, |e| e.out());
+            entry
+        };
         self.note_pop(tile_idx);
         entry
+    }
+
+    /// Packets queued in FIFO `port` of `tile_idx`.
+    fn fifo_len(&self, tile_idx: usize, port: usize) -> usize {
+        if port == LOCAL {
+            self.local[tile_idx].len()
+        } else {
+            usize::from(self.routers[tile_idx].link_len[port])
+        }
+    }
+
+    /// Calls `f` on each entry of FIFO `port` at `tile_idx`, head to tail.
+    fn for_each_entry(&self, tile_idx: usize, port: usize, mut f: impl FnMut(RingEntry)) {
+        if port == LOCAL {
+            self.local[tile_idx].iter().for_each(f);
+            return;
+        }
+        let base = self.link_base(tile_idx, port);
+        let head = usize::from(self.routers[tile_idx].link_head[port]);
+        for i in 0..self.fifo_len(tile_idx, port) {
+            f(self.link_slots[base + (head + i) % self.link_cap]);
+        }
     }
 
     /// Registers one packet pushed into any FIFO of `tile_idx`.
@@ -709,23 +783,9 @@ impl Fabric {
     pub fn inject(&mut self, packet: FabricPacket) -> bool {
         let net = packet.network() as usize;
         let idx = self.array.index_of(packet.src);
-        if self.networks[net].queues[idx][LOCAL].len() < self.queue_capacity * LOCAL_QUEUE_FACTOR {
+        if self.networks[net].local[idx].len() < self.queue_capacity * LOCAL_QUEUE_FACTOR {
             let slot = self.arena.alloc(&packet);
-            let Fabric {
-                coords,
-                networks,
-                arena,
-                ..
-            } = self;
-            networks[net].push(
-                coords[idx],
-                idx,
-                LOCAL,
-                slot,
-                arena.leg_target(slot),
-                arena.network_of(slot),
-                packet.hops,
-            );
+            self.push_local(idx, slot, packet.hops);
             true
         } else {
             false
@@ -736,24 +796,21 @@ impl Fabric {
     /// response traffic regenerated at a destination is buffered in that
     /// tile's local memory rather than refused.
     pub fn inject_unbounded(&mut self, packet: FabricPacket) {
-        let net = packet.network() as usize;
         let idx = self.array.index_of(packet.src);
         let slot = self.arena.alloc(&packet);
-        let Fabric {
-            coords,
-            networks,
-            arena,
-            ..
-        } = self;
-        networks[net].push(
-            coords[idx],
-            idx,
-            LOCAL,
-            slot,
-            arena.leg_target(slot),
-            arena.network_of(slot),
-            packet.hops,
-        );
+        self.push_local(idx, slot, packet.hops);
+    }
+
+    /// Enqueues arena slot `slot`, with `hops` traversals so far, on the
+    /// local FIFO of tile `idx` in the network of its present leg. The
+    /// slot's output port at this tile is computed once here and packed
+    /// into the entry, so later head refreshes and forwards never go
+    /// back to the arena.
+    fn push_local(&mut self, idx: usize, slot: u32, hops: u32) {
+        let target = self.arena.leg_target(slot);
+        let net = self.arena.network_of(slot);
+        let out = out_port_for(self.coords[idx], target, net);
+        self.networks[net as usize].push_local(idx, RingEntry::new(slot, out, target, net, hops));
     }
 
     /// Packets currently queued anywhere in the fabric.
@@ -878,19 +935,21 @@ impl Fabric {
         // Snapshot the head routes before any of this tile's own pops
         // refresh them — the pre-cycle heads.
         let head_out = network.routers[tile_idx].head_out;
-        let mut want = [0u8; 5];
+        // An empty head (`EMPTY_HEAD & 7 == 7`) lands in unused slot 7,
+        // so building the contender sets takes no branches; `ports` marks
+        // the output ports that have any contender.
+        let mut want = [0u8; 8];
+        let mut ports = 0u32;
         for (in_port, &out) in head_out.iter().enumerate() {
-            if out != EMPTY_HEAD {
-                want[out as usize] |= 1 << in_port;
-            }
+            let out = usize::from(out & 7);
+            want[out] |= 1 << in_port;
+            ports |= 1 << out;
         }
-        // `out_port` indexes `rr`/`links` too, not just DIRECTIONS.
-        #[allow(clippy::needless_range_loop)]
-        for out_port in 0..5 {
+        ports &= 0x1f;
+        while ports != 0 {
+            let out_port = ports.trailing_zeros() as usize;
+            ports &= ports - 1;
             let contenders = u32::from(want[out_port]);
-            if contenders == 0 {
-                continue;
-            }
             // Branchless round-robin grant: rotate the 5-bit contender
             // mask so the pointer sits at bit 0; the winner is then the
             // lowest set bit — the first hit of a `(start + o) % 5` scan.
@@ -950,19 +1009,12 @@ impl Fabric {
         for &(net, nb_idx, in_side, entry) in &scratch.arrivals {
             let (net, tile, port) = (net as usize, nb_idx as usize, in_side as usize);
             let network = &mut networks[net];
-            network.push(
-                coords[tile],
-                tile,
-                port,
-                entry.slot(),
-                entry.target(),
-                entry.net(),
-                entry.hops(),
-            );
+            let out = out_port_for(coords[tile], entry.target(), entry.net());
+            network.push_link(tile, port, entry.with_out(out));
             // `port` is the receiving side, which faces back toward the
             // sender; attribute the traversal and the peak to the
             // upstream link feeding it.
-            let occupancy = network.queues[tile][port].len();
+            let occupancy = network.fifo_len(tile, port);
             let upstream = neighbors[tile][port];
             debug_assert_ne!(upstream, NO_NEIGHBOR, "arrival came from a neighbour");
             let stats = &mut links[net][upstream as usize][OPPOSITE[port]];
@@ -988,23 +1040,8 @@ impl Fabric {
                 let NetworkChoice::Relay { via, .. } = self.arena.choice(slot) else {
                     unreachable!()
                 };
-                let net = self.arena.network_of(slot) as usize;
                 let idx = self.array.index_of(via);
-                let Fabric {
-                    coords,
-                    networks,
-                    arena,
-                    ..
-                } = &mut *self;
-                networks[net].push(
-                    coords[idx],
-                    idx,
-                    LOCAL,
-                    slot,
-                    arena.leg_target(slot),
-                    arena.network_of(slot),
-                    entry.hops(),
-                );
+                self.push_local(idx, slot, entry.hops());
             } else {
                 // The fabric tracks hop counts in its ring entries (the
                 // arena column holds the count as of injection), so the
@@ -1035,13 +1072,13 @@ impl Fabric {
             for tile in 0..tiles {
                 let mut h = Fnv1a::new();
                 for port in 0..5 {
-                    h.write_u32(network.queues[tile][port].len() as u32);
-                    for entry in network.queues[tile][port].iter() {
+                    h.write_u32(network.fifo_len(tile, port) as u32);
+                    network.for_each_entry(tile, port, |entry| {
                         let slot = entry.slot();
                         h.write_u64(arena.id(slot));
                         h.write_u8(arena.leg(slot));
                         h.write_u32(entry.hops());
-                    }
+                    });
                     h.write_u8(network.routers[tile].rr[port]);
                 }
                 journal.record(
@@ -1276,22 +1313,6 @@ impl Fabric {
     }
 }
 
-/// [`DIRECTIONS`] index of adjacent `nb` relative to `tile` — the inverse
-/// of `Direction::offset`, branch-direct so the FIFO head refresh does
-/// not scan the direction table.
-#[inline]
-fn direction_between(tile: TileCoord, nb: TileCoord) -> usize {
-    if nb.y < tile.y {
-        0 // North
-    } else if nb.y > tile.y {
-        1 // South
-    } else if nb.x > tile.x {
-        2 // East
-    } else {
-        3 // West
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1305,6 +1326,32 @@ mod tests {
             NetworkChoice::Direct(NetworkKind::Xy),
             fabric.cycle(),
         )
+    }
+
+    #[test]
+    fn port_table_matches_next_hop_on_every_pair() {
+        // Non-square, so a table with x and y swapped cannot pass.
+        use crate::routing::next_hop;
+        let array = TileArray::new(7, 5);
+        for net in [NetworkKind::Xy, NetworkKind::Yx] {
+            for tile in array.tiles() {
+                for target in array.tiles() {
+                    let expected = match next_hop(tile, target, net) {
+                        None => LOCAL as u8,
+                        Some(nb) => DIRECTIONS
+                            .into_iter()
+                            .position(|d| array.neighbor(tile, d) == Some(nb))
+                            .expect("next hop is a neighbour")
+                            as u8,
+                    };
+                    assert_eq!(
+                        out_port_for(tile, target, net),
+                        expected,
+                        "{net:?} at {tile} toward {target}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! FIFO primitives: the router-queue ring buffer and the asynchronous
-//! clock-domain-crossing FIFO under every inter-chiplet link.
+//! FIFO primitives: the growable ring buffer behind each router's local
+//! injection queue and the asynchronous clock-domain-crossing FIFO under
+//! every inter-chiplet link.
 //!
 //! The forwarded clock arrives at each tile with accumulated phase delay
 //! and jitter; the paper's footnote 3 notes this is harmless because
@@ -15,25 +16,24 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-/// A ring buffer of [`PacketArena`](crate::arena::PacketArena) slot
-/// indices — the storage behind every router input FIFO in the fabric's
-/// hot loop.
+/// A growable ring buffer of [`PacketArena`](crate::arena::PacketArena)
+/// slot indices — the storage behind each router's *local injection*
+/// FIFO in the fabric.
 ///
 /// The steady-state operations (`push` within capacity, `pop`, `front`,
 /// `iter`) never allocate: the backing array is a single boxed slice and
 /// the head/length pair wraps around it. A push beyond capacity grows the
-/// buffer by doubling (amortised), which only the *local injection* FIFO
-/// ever exercises — `Fabric::inject_unbounded` models response traffic
-/// buffered in the tile's local memory, so that queue has no hard cap.
-/// Link FIFOs are bounded by the tick's backpressure check and stay
-/// at their construction capacity forever.
+/// buffer by doubling (amortised). The local FIFO needs that:
+/// `Fabric::inject_unbounded` models response traffic buffered in the
+/// tile's local memory, so that queue has no hard cap. Link FIFOs are
+/// bounded by the tick's backpressure check, so the fabric stores them
+/// inline in one flat array per network instead.
 ///
-/// Entries default to `u32` arena indices rather than packets: a "move"
-/// in the fabric is one small copy between rings instead of shuffling
-/// ~48-byte packet structs through `VecDeque`s. (The fabric itself
-/// instantiates `PacketRing<RingEntry>`, a packed `u128` carrying the
-/// slot index, cached output port, current-leg target/network, and hop
-/// count in one entry.)
+/// Entries default to `u32` arena indices rather than packets, so a
+/// queue operation copies a small value instead of a ~48-byte packet
+/// struct. (The fabric itself instantiates `PacketRing<RingEntry>`, a
+/// packed `u128` carrying the slot index, cached output port,
+/// current-leg target/network, and hop count in one entry.)
 ///
 /// # Examples
 ///

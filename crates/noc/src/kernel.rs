@@ -163,37 +163,58 @@ impl RoutePlanner {
     }
 
     /// Searches for a relay tile with healthy legs to both endpoints,
-    /// preferring the one adding the fewest extra hops.
+    /// preferring the one adding the fewest extra hops and, among those,
+    /// the first in row-major order.
+    ///
+    /// A via adds zero extra hops iff it lies in the closed src/dst
+    /// bounding box, and zero is the minimum, so the first box tile in
+    /// row-major order with healthy legs is exactly what a full scan
+    /// would keep. Only when the box has no such tile does the search
+    /// fall back to scanning every healthy tile.
     fn find_relay(&self, src: TileCoord, dst: TileCoord) -> NetworkChoice {
+        let (x0, x1) = (src.x.min(dst.x), src.x.max(dst.x));
+        let (y0, y1) = (src.y.min(dst.y), src.y.max(dst.y));
+        for y in y0..=y1 {
+            for x in x0..=x1 {
+                if let Some(choice) = self.relay_via(src, TileCoord::new(x, y), dst) {
+                    return choice;
+                }
+            }
+        }
         let mut best: Option<(u32, NetworkChoice)> = None;
         for via in self.faults.healthy_tiles() {
-            if via == src || via == dst {
-                continue;
-            }
-            let first = if self.oracle.xy_connected(src, via) {
-                Some(NetworkKind::Xy)
-            } else if self.oracle.yx_connected(src, via) {
-                Some(NetworkKind::Yx)
-            } else {
-                None
-            };
-            let second = if self.oracle.xy_connected(via, dst) {
-                Some(NetworkKind::Xy)
-            } else if self.oracle.yx_connected(via, dst) {
-                Some(NetworkKind::Yx)
-            } else {
-                None
-            };
-            if let (Some(first), Some(second)) = (first, second) {
+            if let Some(choice) = self.relay_via(src, via, dst) {
                 let hops = src.manhattan_distance(via) + via.manhattan_distance(dst);
-                let candidate = (hops, NetworkChoice::Relay { via, first, second });
                 match &best {
                     Some((best_hops, _)) if *best_hops <= hops => {}
-                    _ => best = Some(candidate),
+                    _ => best = Some((hops, choice)),
                 }
             }
         }
         best.map(|(_, c)| c).unwrap_or(NetworkChoice::Disconnected)
+    }
+
+    /// The relay route through `via`, if `via` is a healthy third tile
+    /// with a healthy leg from `src` and one to `dst` (XY preferred on
+    /// each leg).
+    fn relay_via(&self, src: TileCoord, via: TileCoord, dst: TileCoord) -> Option<NetworkChoice> {
+        if via == src || via == dst || self.faults.is_faulty(via) {
+            return None;
+        }
+        let first = self.direct_leg(src, via)?;
+        let second = self.direct_leg(via, dst)?;
+        Some(NetworkChoice::Relay { via, first, second })
+    }
+
+    /// The network of a healthy direct leg `from → to`, XY first.
+    fn direct_leg(&self, from: TileCoord, to: TileCoord) -> Option<NetworkKind> {
+        if self.oracle.xy_connected(from, to) {
+            Some(NetworkKind::Xy)
+        } else if self.oracle.yx_connected(from, to) {
+            Some(NetworkKind::Yx)
+        } else {
+            None
+        }
     }
 
     /// Builds the full routing table for every ordered healthy pair.

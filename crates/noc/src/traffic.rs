@@ -10,13 +10,13 @@
 //! through — so congestion numbers measured here transfer directly to
 //! workload execution.
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
 use rand::{Rng, RngExt as _};
 use serde::{Deserialize, Serialize};
 use wsp_common::parallel::Stepping;
-use wsp_common::wheel::EventWheel;
 use wsp_topo::{FaultMap, TileArray, TileCoord};
 
 use crate::fabric::{Fabric, FabricPacket, PacketKind};
@@ -105,12 +105,14 @@ pub struct NocSim {
     config: SimConfig,
     fabric: Fabric,
     healthy: Vec<TileCoord>,
-    /// Responses waiting out the destination's service delay, keyed by
-    /// ready cycle. The wheel pops in `(ready, scheduling)` order, which
-    /// under the constant `response_delay` is exactly the FIFO order the
-    /// old deque released them in — and its `next_at` is the deadline the
-    /// wheel-stepping mode jumps the clock to when the fabric is empty.
-    pending_responses: EventWheel<FabricPacket>,
+    /// Responses waiting out the destination's service delay, with their
+    /// ready cycles. Every response is scheduled at `now +
+    /// response_delay`, with a constant delay and a monotone `now`, so
+    /// ready cycles never decrease along the queue: the front is always
+    /// the earliest deadline (the one wheel stepping jumps the clock to
+    /// when the fabric is empty), and FIFO order is `(ready, scheduling)`
+    /// order.
+    pending_responses: VecDeque<(u64, FabricPacket)>,
     stats: SimReport,
     /// Reusable per-step delivery buffer ([`Fabric::tick_into`] clears
     /// it), so the steady-state step allocates nothing.
@@ -123,18 +125,20 @@ impl NocSim {
     /// Creates a simulator over the given fault map.
     pub fn new(faults: FaultMap, config: SimConfig) -> Self {
         let array = faults.array();
-        let healthy = faults.healthy_tiles().collect();
+        let healthy: Vec<TileCoord> = faults.healthy_tiles().collect();
         let planner = RoutePlanner::new(faults);
         NocSim {
             array,
             planner,
             config,
             fabric: Fabric::new(array, config.queue_capacity),
+            // At most one injection per healthy tile per cycle, so the
+            // staging buffer never grows.
+            inject_buf: Vec::with_capacity(healthy.len()),
             healthy,
-            pending_responses: EventWheel::new(),
+            pending_responses: VecDeque::new(),
             stats: SimReport::default(),
             delivered_buf: Vec::new(),
-            inject_buf: Vec::new(),
         }
     }
 
@@ -240,8 +244,7 @@ impl NocSim {
         while self.fabric.cycle() < end {
             if self.fabric.stepping() == Stepping::Wheel && self.fabric.in_flight() == 0 {
                 let horizon = self
-                    .pending_responses
-                    .next_at()
+                    .next_response_at()
                     .map_or(end, |ready| ready.saturating_sub(1).min(end));
                 let gap = horizon.saturating_sub(self.fabric.cycle());
                 if gap > 0 {
@@ -281,11 +284,16 @@ impl NocSim {
         if self.fabric.stepping() != Stepping::Wheel || self.fabric.in_flight() != 0 {
             return;
         }
-        let Some(ready) = self.pending_responses.next_at() else {
+        let Some(ready) = self.next_response_at() else {
             return;
         };
         let gap = ready.saturating_sub(1).saturating_sub(self.fabric.cycle());
         self.fabric.skip_cycles(gap);
+    }
+
+    /// The ready cycle of the earliest pending response, if any.
+    fn next_response_at(&self) -> Option<u64> {
+        self.pending_responses.front().map(|&(ready, _)| ready)
     }
 
     /// Snapshots the accumulated statistics plus the fabric's counters.
@@ -343,10 +351,14 @@ impl NocSim {
     fn step(&mut self) {
         // Release responses whose service delay has elapsed; they join
         // this cycle's arbitration exactly as in-network packets do.
-        // The wheel pops in (ready, scheduling) order — FIFO under the
-        // constant response delay.
+        // Ready cycles ascend along the queue, so the due responses are
+        // a prefix of it, released in scheduling order.
         let next_cycle = self.fabric.cycle() + 1;
-        for packet in self.pending_responses.pop_due(next_cycle) {
+        while let Some(&(ready, packet)) = self.pending_responses.front() {
+            if ready > next_cycle {
+                break;
+            }
+            self.pending_responses.pop_front();
             // Local injection queues for responses are allowed to grow —
             // the destination tile buffers them in its local memory.
             self.fabric.inject_unbounded(packet);
@@ -371,8 +383,14 @@ impl NocSim {
                     self.stats.max_request_latency.max(now - packet.injected_at);
                 // Schedule the response on the complementary network.
                 let response = FabricPacket::response(&packet);
-                self.pending_responses
-                    .schedule(now + self.config.response_delay, response);
+                let ready = now + self.config.response_delay;
+                assert!(
+                    self.pending_responses
+                        .back()
+                        .is_none_or(|&(last, _)| last <= ready),
+                    "response deadlines never decrease"
+                );
+                self.pending_responses.push_back((ready, response));
             }
             PacketKind::Response => {
                 self.stats.responses_delivered += 1;

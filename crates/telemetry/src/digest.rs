@@ -281,6 +281,11 @@ impl DigestJournal {
     }
 
     /// Parses a sidecar journal written by [`DigestJournal::to_text`].
+    ///
+    /// Rejects, besides malformed lines, anything `to_text` never
+    /// writes: window cycles that do not strictly ascend (which
+    /// [`first_divergence`] relies on), network or machine lanes naming a
+    /// tile outside the `dims` array, and trailing tokens on a line.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
         if lines.next() != Some(JOURNAL_MAGIC) {
@@ -299,6 +304,10 @@ impl DigestJournal {
             .next()
             .and_then(|v| v.parse().ok())
             .ok_or("bad dims height")?;
+        if dims.next().is_some() {
+            return Err(format!("trailing tokens on dims line {dims_line:?}"));
+        }
+        let tiles = u32::from(width) * u32::from(height);
         let every_line = lines.next().ok_or("missing every line")?;
         let every: u64 = every_line
             .strip_prefix("every ")
@@ -313,6 +322,11 @@ impl DigestJournal {
             }
             if let Some(c) = line.strip_prefix("@ ") {
                 let c: u64 = c.parse().map_err(|_| format!("bad window line {i}"))?;
+                if cycle.is_some_and(|prev| c <= prev) {
+                    return Err(format!(
+                        "window @ {c} on line {i} does not follow its predecessor"
+                    ));
+                }
                 journal.windows.push(DigestWindow {
                     cycle: c,
                     lanes: Vec::new(),
@@ -330,6 +344,9 @@ impl DigestJournal {
                 .next()
                 .and_then(|v| u64::from_str_radix(v, 16).ok())
                 .ok_or_else(|| format!("bad digest on lane line {i}"))?;
+            if parts.next().is_some() {
+                return Err(format!("trailing tokens on lane line {i}"));
+            }
             let lane = match kind {
                 "m" => LaneId::Machine { tile },
                 "j" => LaneId::Job { id: tile },
@@ -341,6 +358,11 @@ impl DigestJournal {
                     LaneId::Net { net, tile }
                 }
             };
+            if matches!(lane, LaneId::Net { .. } | LaneId::Machine { .. }) && tile >= tiles {
+                return Err(format!(
+                    "lane line {i} names tile {tile} outside the {width}x{height} array"
+                ));
+            }
             cycle.ok_or_else(|| format!("lane line {i} before any window"))?;
             journal
                 .windows
@@ -502,6 +524,26 @@ mod tests {
         assert!(DigestJournal::parse("not a journal").is_err());
         assert!(DigestJournal::parse("wsp-digest-v1\ndims 4 4\nevery 8\nm x y\n").is_err());
         assert!(DigestJournal::parse("wsp-digest-v1\ndims 4 4\nevery 8\nm 1 ff\n").is_err());
+        let valid = "wsp-digest-v1\ndims 2 2\nevery 16\n@ 16\nn0 3 ff\n@ 32\nm 1 aa\n";
+        assert!(DigestJournal::parse(valid).is_ok());
+        for bad in [
+            // Windows out of order.
+            "wsp-digest-v1\ndims 2 2\nevery 16\n@ 32\nm 1 aa\n@ 16\nn0 3 ff\n",
+            // A repeated window.
+            "wsp-digest-v1\ndims 2 2\nevery 16\n@ 16\nn0 3 ff\n@ 16\nm 1 aa\n",
+            // Tiles outside the 2x2 array.
+            "wsp-digest-v1\ndims 2 2\nevery 16\n@ 16\nn0 999 ff\n",
+            "wsp-digest-v1\ndims 2 2\nevery 16\n@ 16\nm 4 ff\n",
+            // Trailing tokens.
+            "wsp-digest-v1\ndims 2 2\nevery 16\n@ 16\nn0 3 ff junk\n",
+            "wsp-digest-v1\ndims 2 2 2\nevery 16\n",
+        ] {
+            assert!(DigestJournal::parse(bad).is_err(), "accepted {bad:?}");
+        }
+        // Job lanes are numbered by job, not tile, so any id is in range.
+        assert!(
+            DigestJournal::parse("wsp-digest-v1\ndims 2 2\nevery 16\n@ 16\nj 999 ff\n").is_ok()
+        );
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property tests for the telemetry core: histogram percentile ordering,
 //! bucket boundary identities, counter saturation, time-series
-//! and decimation determinism.
+//! and decimation determinism, and digest-sidecar parsing of mangled
+//! input.
 
 use proptest::prelude::*;
-use wsp_telemetry::{Histogram, Registry, TimeSeries};
+use wsp_telemetry::{DigestJournal, Histogram, LaneId, Registry, TimeSeries};
 
 proptest! {
     /// p50 ≤ p95 ≤ p99 ≤ max for any sample set, and every percentile
@@ -85,6 +86,60 @@ proptest! {
         for &(cycle, value) in a.points() {
             prop_assert_eq!(cycle % a.cadence(), 0, "cycle {} off cadence {}", cycle, a.cadence());
             prop_assert_eq!(value, cycle as f64, "value survived decimation unchanged");
+        }
+    }
+}
+
+/// A small valid sidecar: a few windows of net, machine and job lanes.
+fn sample_sidecar(lanes: &[(u8, u32, u64)]) -> String {
+    let mut journal = DigestJournal::new(16, 3, 2);
+    for (i, &(kind, tile, digest)) in lanes.iter().enumerate() {
+        let lane = match kind {
+            0 => LaneId::Net { net: 0, tile },
+            1 => LaneId::Net { net: 1, tile },
+            2 => LaneId::Machine { tile },
+            _ => LaneId::Job { id: tile },
+        };
+        journal.record(16 * (1 + i as u64 / 3), lane, digest);
+    }
+    journal.to_text()
+}
+
+proptest! {
+    /// Line shuffles, line deletions and byte edits of a valid sidecar
+    /// parse to `Ok` or `Err`, never a panic; whatever parses survives a
+    /// `to_text` round trip unchanged.
+    #[test]
+    fn mangled_sidecars_never_panic(
+        lanes in proptest::collection::vec((0u8..4, 0u32..6, any::<u64>()), 1..12),
+        edits in proptest::collection::vec((0u8..3, any::<usize>(), any::<usize>(), any::<u8>()), 0..4),
+    ) {
+        let text = sample_sidecar(&lanes);
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        for &(op, a, b, byte) in &edits {
+            if lines.is_empty() {
+                break;
+            }
+            let n = lines.len();
+            match op {
+                0 => lines.swap(a % n, b % n),
+                1 => {
+                    lines.remove(a % n);
+                }
+                _ => {
+                    let mut bytes = lines[a % n].clone().into_bytes();
+                    if !bytes.is_empty() {
+                        let at = b % bytes.len();
+                        bytes[at] = byte;
+                    }
+                    lines[a % n] = String::from_utf8_lossy(&bytes).into_owned();
+                }
+            }
+        }
+        let mangled = lines.join("\n");
+        if let Ok(journal) = DigestJournal::parse(&mangled) {
+            let again = DigestJournal::parse(&journal.to_text());
+            prop_assert!(again.as_ref().is_ok_and(|j| *j == journal), "{mangled:?}");
         }
     }
 }

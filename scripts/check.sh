@@ -109,6 +109,26 @@ if target/release/wsp-diff bench --tolerances tests/golden/tolerances.txt \
     exit 1
 fi
 echo "    gate passes on baselines and catches a synthetic regression"
+# The digest diff must likewise refuse a malformed sidecar rather than
+# misreport: swap the first two windows of the golden fig7 journal and
+# require the parse error (exit 2), not a divergence report.
+awk '/^@ / { w++ }
+     w == 0 { print; next }
+     w == 1 { first = first $0 "\n"; next }
+     w == 2 { second = second $0 "\n"; next }
+     !swapped { printf "%s%s", second, first; swapped = 1 }
+     { print }
+     END { if (!swapped) printf "%s%s", second, first }' \
+    tests/golden/fig7_network_smoke.json.digest > "$DET_DIR/swapped.digest"
+digest_status=0
+target/release/wsp-diff digest tests/golden/fig7_network_smoke.json.digest \
+    "$DET_DIR/swapped.digest" >/dev/null 2>"$DET_DIR/swapped.err" || digest_status=$?
+if [ "$digest_status" -ne 2 ] || ! grep -q "does not follow" "$DET_DIR/swapped.err"; then
+    echo "FAIL: wsp-diff digest accepted a sidecar with swapped windows (exit $digest_status)" >&2
+    cat "$DET_DIR/swapped.err" >&2
+    exit 1
+fi
+echo "    wsp-diff digest rejects a sidecar whose windows are out of order"
 
 
 echo "==> flag-doc drift gate (every BenchOpts flag is documented in README.md)"
