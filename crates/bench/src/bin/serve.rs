@@ -69,9 +69,9 @@ fn main() {
     let mut campaign = match &opts.restore {
         Some(path) => {
             let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read snapshot {}: {e}", path.display()));
+                .unwrap_or_else(|e| fail(&format!("cannot read snapshot {}: {e}", path.display())));
             let campaign = ServeCampaign::restore(config, &text)
-                .unwrap_or_else(|e| panic!("bad snapshot {}: {e}", path.display()));
+                .unwrap_or_else(|e| fail(&format!("bad snapshot {}: {e}", path.display())));
             result_line(
                 "resumed",
                 format!(
@@ -83,7 +83,8 @@ fn main() {
             );
             campaign
         }
-        None => ServeCampaign::new(config).expect("valid campaign config"),
+        None => ServeCampaign::new(config)
+            .unwrap_or_else(|e| fail(&format!("invalid campaign config: {e}"))),
     };
 
     match (&opts.snapshot, opts.snapshot_after) {
@@ -93,8 +94,9 @@ fn main() {
             } else {
                 campaign.run_to_completion();
             }
-            std::fs::write(path, campaign.snapshot())
-                .unwrap_or_else(|e| panic!("cannot write snapshot {}: {e}", path.display()));
+            std::fs::write(path, campaign.snapshot()).unwrap_or_else(|e| {
+                fail(&format!("cannot write snapshot {}: {e}", path.display()))
+            });
             println!("  wrote campaign snapshot: {}", path.display());
             if !campaign.is_done() {
                 // A paused campaign reports nothing: the snapshot is the
@@ -132,4 +134,12 @@ fn main() {
 
     opts.bench.write_outputs("serve", &recorder);
     opts.bench.write_digest(Some(campaign.journal()));
+}
+
+/// Reports a run that cannot start or continue as given — a slice that
+/// does not fit, an unreadable or malformed snapshot — the way
+/// [`ServeOpts::from_env`] reports a bad flag: `error: …` and exit 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }

@@ -316,12 +316,13 @@ impl ServeOpts {
             match arg.as_str() {
                 "--jobs" => {
                     let raw = args.next().ok_or("--jobs requires a count")?;
+                    // Job ids are `u32`, so larger counts would repeat ids.
                     let jobs = raw
-                        .parse::<usize>()
+                        .parse::<u32>()
                         .ok()
                         .filter(|&n| n > 0)
-                        .ok_or_else(|| format!("invalid job count {raw:?}"))?;
-                    opts.jobs = Some(jobs);
+                        .ok_or_else(|| format!("invalid job count {raw:?} (1..=4294967295)"))?;
+                    opts.jobs = Some(jobs as usize);
                 }
                 "--slice" => {
                     let raw = args.next().ok_or("--slice requires WxH")?;
@@ -551,6 +552,14 @@ mod tests {
     fn serve_opts_reject_bad_input() {
         assert!(parse_serve(&["--jobs"]).is_err());
         assert!(parse_serve(&["--jobs", "0"]).is_err());
+        // One past the `u32` job-id range: rejected, never synthesised.
+        assert!(parse_serve(&["--jobs", "4294967296"]).is_err());
+        assert_eq!(
+            parse_serve(&["--jobs", "4294967295"])
+                .expect("u32::MAX")
+                .jobs,
+            Some(u32::MAX as usize)
+        );
         assert!(parse_serve(&["--slice", "4"]).is_err());
         assert!(parse_serve(&["--slice", "0x4"]).is_err());
         assert!(parse_serve(&["--slice", "axb"]).is_err());

@@ -37,7 +37,7 @@ use wsp_tile::{
     isa::Reg,
     memory::{bank_of_offset, GLOBAL_REGION_BYTES},
     AccessMemoryError, BusAccess, BusGrant, CoreSim, CoreState, MemTiming, MemoryChiplet,
-    MemoryModel, MemoryModelKind, PendingAccess, StepError, GLOBAL_BASE,
+    MemoryModel, MemoryModelKind, PendingAccess, StepError, CORES_PER_TILE, GLOBAL_BASE,
 };
 use wsp_topo::{FaultMap, TileArray, TileCoord};
 
@@ -54,6 +54,9 @@ const REMOTE_OVERHEAD: u64 = 6;
 /// Router FIFO depth of the machine's fabric (matches the synthetic
 /// traffic simulator's default).
 const FABRIC_QUEUE_CAPACITY: usize = 4;
+
+// A tile's cores are one bit each in the `u16` liveness masks.
+const _: () = assert!(CORES_PER_TILE <= 16);
 
 /// A remote access in flight on the fabric, keyed by its request packet
 /// id. The owner fills `result` when it services the request; the value
@@ -187,14 +190,18 @@ pub struct MultiTileMachine {
     /// Event-wheel stepping over the runnable-tile set (default) or the
     /// dense reference sweep. Bit-identical either way.
     stepping: Stepping,
-    /// Per-tile count of cores currently in [`CoreState::Running`].
-    live_cores: Vec<u32>,
-    /// Per-tile count of running cores blocked on an in-flight remote op
-    /// (fabric model). A tile with `live == blocked` cannot retire, issue,
-    /// or touch memory this cycle, so the runnable-tile walk skips it.
-    blocked_cores: Vec<u32>,
-    /// Cycle each tile last executed its fabric-model step phase; the
-    /// runnable-tile walk replays `now - last - 1` stall cycles on wake.
+    /// Per-tile bitmask of the cores in [`CoreState::Running`] (bit `c`
+    /// is core `c`).
+    running: Vec<u16>,
+    /// Per-tile bitmask of the running cores blocked on an in-flight
+    /// remote op (fabric model). Such a core cannot retire, issue, or
+    /// touch memory, so the wheel walk steps only `running & !blocked`.
+    blocked: Vec<u16>,
+    /// Cycle the fabric-model walk last stepped each core, tile-major
+    /// (`tile * CORES_PER_TILE + core`). Read only for a core holding a
+    /// remote op, which was stepped on the cycle it issued: the wheel walk
+    /// leaves it unstepped while blocked, and it replays `now - last - 1`
+    /// stall cycles when next stepped.
     last_stepped: Vec<u64>,
     /// Running cores across the machine — the O(1) `run_until_halt` test.
     running_cores: usize,
@@ -255,9 +262,9 @@ impl MultiTileMachine {
             cycles: 0,
             counters: AccessCounters::default(),
             stepping: Stepping::default(),
-            live_cores: vec![0; tiles],
-            blocked_cores: vec![0; tiles],
-            last_stepped: vec![0; tiles],
+            running: vec![0; tiles],
+            blocked: vec![0; tiles],
+            last_stepped: vec![0; tiles * CORES_PER_TILE],
             running_cores: 0,
             liveness_dirty: false,
             runnable_tiles: Histogram::new(),
@@ -408,7 +415,7 @@ impl MultiTileMachine {
         let was_running = slot.state() == CoreState::Running;
         slot.load_program(program);
         if !was_running && slot.state() == CoreState::Running {
-            self.live_cores[idx] += 1;
+            self.running[idx] |= 1 << core;
             self.running_cores += 1;
         }
         Ok(())
@@ -488,23 +495,35 @@ impl MultiTileMachine {
             .any(|c| c.state() == CoreState::Running)
     }
 
-    /// Recomputes the per-tile liveness counters from scratch after a
+    /// Recomputes the per-tile liveness masks from scratch after a
     /// caller mutated cores through [`MultiTileMachine::core_mut`].
     fn refresh_liveness(&mut self) {
         self.running_cores = 0;
-        for (t, tile_cores) in self.cores.iter().enumerate() {
-            let live = tile_cores
-                .iter()
-                .filter(|c| c.state() == CoreState::Running)
-                .count() as u32;
-            self.live_cores[t] = live;
-            self.running_cores += live as usize;
-            self.blocked_cores[t] = self.pending[t]
-                .iter()
-                .filter(|p| matches!(p, Some(PendingAccess::InFlight { .. })))
-                .count() as u32;
+        for (t, (tile_cores, slots)) in self.cores.iter().zip(&self.pending).enumerate() {
+            let (mut running, mut blocked) = (0u16, 0u16);
+            for (c, (core, slot)) in tile_cores.iter().zip(slots).enumerate() {
+                if core.state() == CoreState::Running {
+                    running |= 1 << c;
+                }
+                if matches!(slot, Some(PendingAccess::InFlight { .. })) {
+                    blocked |= 1 << c;
+                }
+            }
+            self.running[t] = running;
+            self.blocked[t] = blocked;
+            self.running_cores += running.count_ones() as usize;
         }
         self.liveness_dirty = false;
+    }
+
+    /// Tiles with at least one running core that is not blocked on an
+    /// in-flight remote op — the per-cycle runnable-tile sample.
+    fn runnable_tile_count(&self) -> u64 {
+        self.running
+            .iter()
+            .zip(&self.blocked)
+            .filter(|&(&running, &blocked)| running & !blocked != 0)
+            .count() as u64
     }
 
     /// Advances every tile one cycle.
@@ -553,7 +572,7 @@ impl MultiTileMachine {
     ///
     /// A window opens only when the machine is *fully stalled*: nothing
     /// is in flight anywhere (`in_flight`, `deferred`, and the fabric are
-    /// all empty — which forces `blocked_cores` to all-zero) and every
+    /// all empty — which forces every `blocked` mask to zero) and every
     /// running core is frozen behind a positive `stall_pending`. During
     /// such a window the dense sweep provably does nothing but decrement
     /// each frozen core's `stall_pending` by one per cycle: a frozen
@@ -578,12 +597,11 @@ impl MultiTileMachine {
             return 0;
         }
         let mut window = u64::MAX;
-        for tile_cores in &self.cores {
-            for core in tile_cores {
-                if core.state() != CoreState::Running {
-                    continue;
-                }
-                let pending = core.stall_pending();
+        for (tile_cores, &mask) in self.cores.iter().zip(&self.running) {
+            let mut bits = mask;
+            while bits != 0 {
+                let pending = tile_cores[bits.trailing_zeros() as usize].stall_pending();
+                bits &= bits - 1;
                 if pending == 0 {
                     return 0;
                 }
@@ -613,24 +631,15 @@ impl MultiTileMachine {
     /// cycle would be. `wheel_skip_window` guarantees no observation
     /// boundary lies strictly inside the span.
     fn skip_stall_window(&mut self, window: u64) {
-        let runnable = self
-            .live_cores
-            .iter()
-            .zip(&self.blocked_cores)
-            .filter(|&(&l, &b)| l > b)
-            .count();
+        let runnable = self.runnable_tile_count();
         self.cycles += window;
-        self.runnable_tiles.record_n(runnable as u64, window);
-        for (t, tile_cores) in self.cores.iter_mut().enumerate() {
-            if self.live_cores[t] == 0 {
-                continue;
+        self.runnable_tiles.record_n(runnable, window);
+        for (tile_cores, &mask) in self.cores.iter_mut().zip(&self.running) {
+            let mut bits = mask;
+            while bits != 0 {
+                tile_cores[bits.trailing_zeros() as usize].drain_stall_cycles(window);
+                bits &= bits - 1;
             }
-            for core in tile_cores {
-                if core.state() == CoreState::Running {
-                    core.drain_stall_cycles(window);
-                }
-            }
-            self.last_stepped[t] = self.cycles;
         }
         self.fabric.skip_cycles(window);
         self.sample_cycle();
@@ -645,12 +654,7 @@ impl MultiTileMachine {
             return;
         }
         let cycle = self.cycles;
-        let runnable = self
-            .live_cores
-            .iter()
-            .zip(&self.blocked_cores)
-            .filter(|&(&l, &b)| l > b)
-            .count();
+        let runnable = self.runnable_tile_count();
         self.samples[0].1.record(cycle, runnable as f64);
         self.samples[1].1.record(cycle, self.in_flight.len() as f64);
         // The row-hit-rate series only exists on stateful backends,
@@ -664,7 +668,7 @@ impl MultiTileMachine {
 
     /// Fingerprints each tile's architectural state into the fabric's
     /// digest journal at window boundaries: per-core state/pc/registers/
-    /// stats, pending-access slots, liveness counters, and the memory
+    /// stats, pending-access slots, liveness counts, and the memory
     /// model's timing fingerprint. Shared-memory *contents* are not
     /// hashed (too large at this cadence); a data-only divergence
     /// surfaces as soon as a core loads it into a register.
@@ -673,8 +677,8 @@ impl MultiTileMachine {
             cores,
             mem_models,
             pending,
-            live_cores,
-            blocked_cores,
+            running,
+            blocked,
             fabric,
             cycles,
             ..
@@ -686,7 +690,7 @@ impl MultiTileMachine {
         if !journal.wants(cycle) {
             return;
         }
-        for (t, tile_cores) in cores.iter().enumerate() {
+        for (t, (tile_cores, slots)) in cores.iter().zip(pending).enumerate() {
             let mut h = Fnv1a::new();
             for core in tile_cores {
                 h.write_u8(match core.state() {
@@ -697,15 +701,15 @@ impl MultiTileMachine {
                 h.write_u64(core.pc() as u64);
                 h.write_u64(core.stall_pending());
                 // Retired instructions are stepping-invariant; the cycle
-                // and stall counters are NOT hashed because the
-                // runnable-tile walk replays a blocked core's bookkeeping
-                // in bulk on wake, so they lag the dense sweep mid-run.
+                // and stall counters are NOT hashed because the wheel
+                // walk replays a blocked core's bookkeeping in bulk on
+                // wake, so they lag the dense sweep mid-run.
                 h.write_u64(core.stats().retired);
                 for r in Reg::ALL {
                     h.write_u32(core.reg(r));
                 }
             }
-            for slot in &pending[t] {
+            for slot in slots {
                 match *slot {
                     None => h.write_u8(0),
                     Some(PendingAccess::InFlight { addr, issued_at }) => {
@@ -736,55 +740,45 @@ impl MultiTileMachine {
                 }
             }
             h.write_u64(mem_models[t].state_fingerprint());
-            h.write_u32(live_cores[t]);
-            h.write_u32(blocked_cores[t]);
+            h.write_u32(running[t].count_ones());
+            h.write_u32(blocked[t].count_ones());
             journal.record(cycle, LaneId::Machine { tile: t as u32 }, h.finish());
         }
     }
 
     /// One cycle of the analytic model, where a remote access performs
     /// synchronously at the *owner* tile's crossbar.
+    ///
+    /// Both stepping modes walk only the running cores: analytic accesses
+    /// never arm `InFlight`, and stepping a halted core is a no-op in
+    /// [`CoreSim::step`].
     fn step_tiles_analytic(&mut self) -> Result<(), RunMachineError> {
         let array = self.faults.array();
         // No per-cycle crossbar reset: the memory models stamp requests
-        // with the absolute cycle and free their ports lazily. Within an
-        // executed cycle wheel stepping visits only live tiles; the
-        // cross-cycle skip lives in [`MultiTileMachine::step`].
-        let active_only = self.stepping != Stepping::Dense;
-        let runnable_now = self
-            .live_cores
-            .iter()
-            .zip(&self.blocked_cores)
-            .filter(|&(&l, &b)| l > b)
-            .count() as u64;
-        self.runnable_tiles.record(runnable_now);
-        let n = self.config.cores_per_tile();
-        let rotate = (self.cycles % n as u64) as usize;
+        // with the absolute cycle and free their ports lazily.
+        self.runnable_tiles.record(self.runnable_tile_count());
+        let rotate = (self.cycles % CORES_PER_TILE as u64) as u32;
         for tile_idx in 0..array.tile_count() {
+            let mask = self.running[tile_idx];
+            if mask == 0 {
+                continue;
+            }
             let tile = array.coord_of(tile_idx);
             if self.faults.is_faulty(tile) {
                 continue;
             }
-            // Analytic accesses never arm `InFlight` (a tile with zero
-            // running cores does nothing in the dense sweep), so only
-            // fully halted tiles may be skipped.
-            if active_only && self.live_cores[tile_idx] == 0 {
-                continue;
-            }
-            for i in 0..n {
-                let core_idx = (i + rotate) % n;
-                let was_running = self.cores[tile_idx][core_idx].state() == CoreState::Running;
-                if active_only && !was_running {
-                    continue;
-                }
+            let mut walk = rotated_walk(mask, rotate);
+            while walk != 0 {
+                let core_idx = (walk.trailing_zeros() % 16) as usize;
+                walk &= walk - 1;
                 let outcome = self.step_core_analytic(tile_idx, core_idx);
                 outcome.map_err(|source| RunMachineError::CoreFault {
                     tile,
                     core: core_idx,
                     source,
                 })?;
-                if was_running && self.cores[tile_idx][core_idx].state() != CoreState::Running {
-                    self.live_cores[tile_idx] -= 1;
+                if self.cores[tile_idx][core_idx].state() != CoreState::Running {
+                    self.running[tile_idx] &= !(1 << core_idx);
                     self.running_cores -= 1;
                 }
             }
@@ -792,17 +786,18 @@ impl MultiTileMachine {
         Ok(())
     }
 
-    /// One cycle of the fabric model's tile phase: steps every core of
-    /// every healthy tile in place, in `(tile, rotated core)` order.
+    /// One cycle of the fabric model's tile phase: steps the running
+    /// cores of every healthy tile in place, in `(tile, rotated core)`
+    /// order.
     ///
-    /// With wheel stepping the walk visits only *runnable* tiles (at least
-    /// one running core that is not blocked on an in-flight remote op).
-    /// Skipping is unobservable: a halted core's step is a no-op, and a
-    /// blocked core's dense step does exactly `cycles += 1`,
-    /// `stall_cycles += 1`, `network_stall_cycles += 1` — replayed in bulk
-    /// on wake from the gap since the tile last stepped. A tile's
-    /// runnability can change mid-walk only through its own cores halting,
-    /// so testing it at the visit reads the pre-cycle value.
+    /// With wheel stepping the walk steps only the cores that can move:
+    /// running and not blocked on an in-flight remote op. Skipping is
+    /// unobservable: a halted core's step is a no-op, and a blocked core's
+    /// dense step does exactly `cycles += 1`, `stall_cycles += 1`,
+    /// `network_stall_cycles += 1` — replayed in bulk when the core is
+    /// next stepped, from the gap since it last was. A tile's masks can
+    /// change mid-walk only through its own cores halting, so the mask
+    /// read at the visit is the pre-cycle value.
     ///
     /// A core touching a remote owner only records an [`InjectIntent`];
     /// the intents are injected after the walk, in walk order, which
@@ -810,19 +805,17 @@ impl MultiTileMachine {
     /// first core fault; intents recorded before it are still injected.
     fn step_tiles_fabric(&mut self) -> Result<(), RunMachineError> {
         let array = self.faults.array();
-        let cores_per_tile = self.config.cores_per_tile();
-        let rotate = (self.cycles % cores_per_tile as u64) as usize;
+        let rotate = (self.cycles % CORES_PER_TILE as u64) as u32;
         let cycles = self.cycles;
-        let active_only = self.stepping != Stepping::Dense;
+        // Dense steps blocked cores too: the reference the replay matches.
+        let skip_blocked = if self.stepping == Stepping::Dense {
+            0
+        } else {
+            u16::MAX
+        };
 
         // Sampled in both stepping modes: a pure function of liveness.
-        let runnable_now = self
-            .live_cores
-            .iter()
-            .zip(&self.blocked_cores)
-            .filter(|&(&l, &b)| l > b)
-            .count() as u64;
-        self.runnable_tiles.record(runnable_now);
+        self.runnable_tiles.record(self.runnable_tile_count());
 
         let tiles_timer = self.profiler.start();
         let MultiTileMachine {
@@ -834,8 +827,8 @@ impl MultiTileMachine {
             pending,
             intents,
             counters,
-            live_cores,
-            blocked_cores,
+            running,
+            blocked,
             last_stepped,
             running_cores,
             sink,
@@ -843,40 +836,37 @@ impl MultiTileMachine {
         } = self;
         let mut fault = None;
         'tiles: for tile_idx in 0..array.tile_count() {
+            // Stepping a non-running core is a no-op in `CoreSim::step`,
+            // so both modes leave halted cores out.
+            let mask = running[tile_idx] & !(blocked[tile_idx] & skip_blocked);
+            if mask == 0 {
+                continue;
+            }
             let tile = array.coord_of(tile_idx);
             // A faulty tile's memory model is never arbitrated: its cores
             // never run and it owns no servable memory.
             if faults.is_faulty(tile) {
                 continue;
             }
-            if active_only && live_cores[tile_idx] <= blocked_cores[tile_idx] {
-                continue;
-            }
-            // Replay the skipped span: every core sitting on an in-flight
-            // or just-completed remote op stepped-and-stalled once per
-            // skipped cycle in the dense sweep.
-            let gap = cycles - last_stepped[tile_idx] - 1;
-            if gap > 0 {
-                for (core, slot) in cores[tile_idx].iter_mut().zip(&pending[tile_idx]) {
-                    if matches!(
-                        slot,
-                        Some(PendingAccess::InFlight { .. }) | Some(PendingAccess::Ready { .. })
-                    ) {
-                        core.absorb_stall_cycles(gap);
-                        counters.network_stall_cycles += gap;
-                    }
-                }
-            }
-            last_stepped[tile_idx] = cycles;
-            for i in 0..cores_per_tile {
-                let core_idx = (i + rotate) % cores_per_tile;
+            let mut walk = rotated_walk(mask, rotate);
+            while walk != 0 {
+                let core_idx = (walk.trailing_zeros() % 16) as usize;
+                walk &= walk - 1;
                 let core = &mut cores[tile_idx][core_idx];
-                // Identical in both modes: stepping a non-running core is
-                // a no-op in `CoreSim::step`, so eliding the call changes
-                // nothing and keeps the halt accounting below exact.
-                if core.state() != CoreState::Running {
-                    continue;
+                let slot = &mut pending[tile_idx][core_idx];
+                let stamp = &mut last_stepped[tile_idx * CORES_PER_TILE + core_idx];
+                // Replay the span the wheel left this core blocked: it
+                // stepped-and-stalled once per skipped cycle in the dense
+                // sweep. Only a core holding a remote op can have a gap.
+                if matches!(
+                    slot,
+                    Some(PendingAccess::InFlight { .. }) | Some(PendingAccess::Ready { .. })
+                ) {
+                    let gap = cycles - *stamp - 1;
+                    core.absorb_stall_cycles(gap);
+                    counters.network_stall_cycles += gap;
                 }
+                *stamp = cycles;
                 let outcome = step_one_core_fabric(
                     array,
                     faults,
@@ -887,7 +877,7 @@ impl MultiTileMachine {
                     core,
                     &mut memories[tile_idx],
                     mem_models[tile_idx].as_mut(),
-                    &mut pending[tile_idx][core_idx],
+                    slot,
                     counters,
                     sink.as_mut(),
                     intents,
@@ -903,7 +893,7 @@ impl MultiTileMachine {
                     }
                     Ok(state) => {
                         if state != CoreState::Running {
-                            live_cores[tile_idx] -= 1;
+                            running[tile_idx] &= !(1 << core_idx);
                             *running_cores -= 1;
                         }
                     }
@@ -936,7 +926,7 @@ impl MultiTileMachine {
                     addr: intent.addr,
                     issued_at: cycles,
                 });
-                self.blocked_cores[intent.tile_idx] += 1;
+                self.blocked[intent.tile_idx] |= 1 << intent.core_idx;
             }
             // On injection backpressure the id is burned (ids count
             // attempts, as in the traffic layer) and the core retries
@@ -1044,9 +1034,9 @@ impl MultiTileMachine {
                 issued_at,
                 value: op.result.unwrap_or(0),
             });
-            // The core can make progress again: its tile re-enters the
-            // runnable set next cycle.
-            self.blocked_cores[op.tile_idx] -= 1;
+            // The core can make progress again: the wheel walk steps it
+            // from next cycle.
+            self.blocked[op.tile_idx] &= !(1 << op.core_idx);
         }
     }
 
@@ -1191,7 +1181,7 @@ impl MultiTileMachine {
                 }
             }
         });
-        cores[tile_idx][core_idx].apply_stall_cycles(stall);
+        core.apply_stall_cycles(stall);
         outcome.map(|_| ())
     }
 
@@ -1374,6 +1364,16 @@ fn decode_global(
         return Err(AccessMemoryError::OutOfRange { addr });
     }
     Ok((t, off % GLOBAL_REGION_BYTES as u32))
+}
+
+/// The set bits of a tile's core `mask` in the walk order
+/// `rotate, rotate + 1, …, 0, 1, …, rotate - 1`: cores at or above
+/// `rotate` keep their bit in the low half, the rest move to the high
+/// half, so popping the lowest set bit (core `bit % 16`) yields exactly
+/// the `(i + rotate) % CORES_PER_TILE` order.
+fn rotated_walk(mask: u16, rotate: u32) -> u32 {
+    let low = u16::MAX << rotate;
+    u32::from(mask & low) | u32::from(mask & !low) << 16
 }
 
 /// A remote access a fabric-model core wants injected; the commit after
@@ -2182,6 +2182,69 @@ mod tests {
         assert_eq!(hist.max(), 1, "only one tile ever runnable");
         assert_eq!(hist.min(), 0, "tile blocked while the op is in flight");
         assert_eq!(hist.count(), stats.cycles, "one sample per cycle");
+    }
+
+    #[test]
+    fn injection_backpressure_burns_ids_identically_across_stepping() {
+        // Every other tile's 14 cores stream loads to the hot tile, whose
+        // own 14 cores spin briefly and then stream loads to the far
+        // corner, all issuing in the same cycle. The responses the hot
+        // tile sends queue in its local FIFOs ahead of those requests, so
+        // some are refused and retried: each refusal burns an id.
+        let hot = TileCoord::new(1, 1);
+        let far = TileCoord::new(3, 3);
+        let program = |target: u32, spin: u32, loads: u32| {
+            Program::builder()
+                .ldi(Reg::R1, target)
+                .ldi(Reg::R3, loads)
+                .ldi(Reg::R5, spin)
+                .ldi(Reg::R0, 0)
+                .label("spin")
+                .addi(Reg::R5, Reg::R5, -1)
+                .bne(Reg::R5, Reg::R0, "spin")
+                .label("load")
+                .ld(Reg::R2, Reg::R1, 0)
+                .addi(Reg::R3, Reg::R3, -1)
+                .bne(Reg::R3, Reg::R0, "load")
+                .halt()
+                .build()
+                .expect("builds")
+        };
+        let run = |stepping: Stepping| {
+            let mut m = machine(4);
+            m.set_stepping(stepping);
+            for (i, tile) in TileArray::new(4, 4).tiles().enumerate() {
+                for core in 0..14 {
+                    let p = if tile == hot {
+                        program(m.global_address(far, 4 * core as u32).expect("ok"), 10, 4)
+                    } else {
+                        let word = (i * 14 + core) as u32 % 2048;
+                        program(m.global_address(hot, 4 * word).expect("ok"), 1, 8)
+                    };
+                    m.load_program(tile, core, &p).expect("ok");
+                }
+            }
+            let stats = m.run_until_halt(1_000_000).expect("halts");
+            assert!(m.in_flight.is_empty());
+            // Ids count injection attempts; completed remote accesses
+            // count the accepted injections.
+            let attempts = m.fabric_mut().allocate_id();
+            (
+                stats,
+                attempts,
+                m.per_tile_activity(),
+                m.runnable_tiles().clone(),
+            )
+        };
+        let dense = run(Stepping::Dense);
+        assert_eq!(dense.0.remote_accesses, 15 * 14 * 8 + 14 * 4);
+        assert!(
+            dense.1 > dense.0.remote_accesses,
+            "no injection was refused: {} attempts, {} accesses",
+            dense.1,
+            dense.0.remote_accesses
+        );
+        assert_eq!(run(Stepping::Wheel), dense);
     }
 
     #[test]

@@ -73,6 +73,11 @@ pub struct JobSpec {
 /// are non-decreasing and the whole stream is a pure function of
 /// `base_seed`.
 ///
+/// # Panics
+///
+/// Panics if `count` exceeds `u32::MAX + 1`: job ids are `u32` and
+/// must not repeat.
+///
 /// # Examples
 ///
 /// ```
@@ -91,7 +96,7 @@ pub fn synthesize_jobs(count: usize, base_seed: u64, mean_interarrival: u64) -> 
         .map(|id| {
             clock += rng.random_range(1..=2 * mean);
             JobSpec {
-                id: id as u32,
+                id: u32::try_from(id).expect("job ids fit in u32"),
                 kind: JobKind::ALL[rng.random_range(0..JobKind::ALL.len())],
                 arrival: clock,
                 seed: stream_seed(base_seed, 1 + id as u64),

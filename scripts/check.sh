@@ -93,6 +93,23 @@ for suffix in "" ".digest"; do
 done
 echo "    snapshot/restore roundtrip matches the uninterrupted golden run"
 
+echo "==> serve bad-input gate (exit 2 with an error: line, never a panic)"
+# A slice larger than the wafer, a garbage snapshot and a missing snapshot
+# are user errors: the bin must report them like a bad flag (exit 2 and an
+# "error:" line), not panic with exit 101.
+printf 'not a campaign snapshot\n' > "$DET_DIR/garbage.snap"
+for args in "--slice 64x64" "--restore $DET_DIR/garbage.snap" "--restore $DET_DIR/missing.snap"; do
+    status=0
+    # shellcheck disable=SC2086 # split the case into its flag and value
+    target/release/serve --smoke $args >/dev/null 2>"$DET_DIR/bad-input.err" || status=$?
+    if [ "$status" -ne 2 ] || ! grep -q "^error:" "$DET_DIR/bad-input.err"; then
+        echo "FAIL: serve --smoke $args exited $status without an error: line" >&2
+        cat "$DET_DIR/bad-input.err" >&2
+        exit 1
+    fi
+done
+echo "    oversized slice and bad snapshots are reported, not panicked on"
+
 echo "==> wsp-diff regression gate (bench JSON vs committed baselines)"
 # The tolerance-gated diff must pass on the baselines themselves...
 for bin in fig7_network workloads serve; do

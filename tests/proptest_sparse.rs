@@ -149,7 +149,115 @@ fn run_machine_on(
     )
 }
 
+/// A 4×4 fabric-model machine where each healthy tile runs the cores
+/// set in its entry of `masks` (row-major, low 14 bits). Core `c` of the
+/// `i`-th healthy tile sums a strip of `1 + (3c + i) % 7` words held by
+/// the next healthy tile and stores the sum in its own tile, so within
+/// one tile cores block on remote loads and halt on different cycles —
+/// the wheel walk leaves some cores of a tile blocked while it steps the
+/// others, and each must replay its own gap. Returns everything
+/// observable, including every core's [`wsp_tile::CoreStats`].
+fn run_multicore(
+    seed: u64,
+    fault_count: usize,
+    masks: &[u16],
+    stepping: Stepping,
+    memory: MemoryModelKind,
+) -> impl PartialEq + std::fmt::Debug {
+    let array = TileArray::new(4, 4);
+    let mut rng = seeded_rng(seed);
+    let faults = FaultMap::sample_uniform(array, fault_count, &mut rng);
+    let cfg = SystemConfig::with_array(array)
+        .with_latency_model(LatencyModel::Fabric)
+        .with_memory_model(memory);
+    let mut m = MultiTileMachine::new(cfg, faults.clone());
+    m.set_stepping(stepping);
+    m.set_sampling(8);
+    m.set_digests(16);
+    let healthy: Vec<TileCoord> = array.tiles().filter(|&t| !faults.is_faulty(t)).collect();
+    for (i, &tile) in healthy.iter().enumerate() {
+        let partner = healthy[(i + 1) % healthy.len()];
+        let mask = masks[array.index_of(tile)] & 0x3FFF;
+        for core in 0..14u32 {
+            let strip = m
+                .global_address(partner, 0x200 + 64 * core)
+                .expect("mapped");
+            for word in 0..7 {
+                m.write_word(strip + 4 * word, 1 + i as u32 * 97 + core * 13 + word)
+                    .expect("mapped");
+            }
+            if mask & (1 << core) == 0 {
+                continue;
+            }
+            let result = m.global_address(tile, 0x1000 + 4 * core).expect("mapped");
+            let words = 1 + (3 * core + i as u32) % 7;
+            let program = Program::builder()
+                .ldi(Reg::R1, strip)
+                .ldi(Reg::R2, words)
+                .ldi(Reg::R3, 0)
+                .ldi(Reg::R0, 0)
+                .label("sum")
+                .ld(Reg::R4, Reg::R1, 0)
+                .add(Reg::R3, Reg::R3, Reg::R4)
+                .addi(Reg::R1, Reg::R1, 4)
+                .addi(Reg::R2, Reg::R2, -1)
+                .bne(Reg::R2, Reg::R0, "sum")
+                .ldi(Reg::R5, result)
+                .st(Reg::R3, Reg::R5, 0)
+                .halt()
+                .build()
+                .expect("builds");
+            m.load_program(tile, core as usize, &program)
+                .expect("loads");
+        }
+    }
+    let outcome = m.run_until_halt(1_000_000).map_err(|e| format!("{e:?}"));
+    let journal = m.journal().expect("digests on").to_text();
+    let series: Vec<(String, Vec<(u64, f64)>)> = m
+        .timeseries()
+        .map(|(name, s)| (name.to_string(), s.points().to_vec()))
+        .collect();
+    let mut core_stats = Vec::new();
+    let mut sums = Vec::new();
+    for &tile in &healthy {
+        for core in 0..14u32 {
+            core_stats.push(m.core_mut(tile, core as usize).stats());
+            let result = m.global_address(tile, 0x1000 + 4 * core).expect("mapped");
+            sums.push(m.read_word(result).expect("mapped"));
+        }
+    }
+    (
+        outcome,
+        sums,
+        core_stats,
+        m.runnable_tiles().clone(),
+        m.memory_profile(),
+        journal,
+        series,
+    )
+}
+
 proptest! {
+    /// Wheel-vs-dense identity with several cores per tile: random
+    /// per-tile core masks, per-core strip lengths, fault maps and
+    /// memory backends. The wheel steps only a tile's unblocked cores, so
+    /// cores of one tile sit blocked over different spans while their
+    /// neighbours run; stats, memory, every core's `CoreStats`, the
+    /// series and the journal must still match the dense sweep.
+    #[test]
+    fn multicore_machine_matches_dense(
+        seed in any::<u64>(),
+        fault_idx in 0usize..3,
+        mem_idx in 0usize..3,
+        masks in proptest::collection::vec(0u16..0x4000, 16..17),
+    ) {
+        let faults = MACHINE_FAULTS[fault_idx];
+        let memory = MEMORY[mem_idx];
+        let dense = run_multicore(seed, faults, &masks, Stepping::Dense, memory);
+        let wheel = run_multicore(seed, faults, &masks, Stepping::Wheel, memory);
+        prop_assert_eq!(dense, wheel);
+    }
+
     /// Sparse traffic is where the wheel skips the most: a handful of
     /// requests in a non-uniform pattern (transpose, east-neighbour
     /// stencil, or a hot spot) leaves almost every tile idle and most
