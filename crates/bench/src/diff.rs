@@ -30,7 +30,9 @@ pub const WALL_PREFIX: &str = "wall.";
 /// The text format is line-oriented: `<metric-prefix> <tolerance>` per
 /// line, `#` starts a comment, and the special prefix `default` sets the
 /// fallback for metrics no rule matches (0.0 when absent — deterministic
-/// metrics must match exactly).
+/// metrics must match exactly). Each prefix, `default` included, may
+/// appear at most once: a repeated one would leave it ambiguous which
+/// tolerance holds.
 ///
 /// # Examples
 ///
@@ -55,9 +57,10 @@ impl Tolerances {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line.
+    /// Returns a description of the first malformed or duplicate line.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut tol = Tolerances::default();
+        let mut default_seen = false;
         for (i, line) in text.lines().enumerate() {
             let line = line.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
@@ -73,8 +76,17 @@ impl Tolerances {
             if parts.next().is_some() {
                 return Err(format!("line {}: trailing tokens", i + 1));
             }
+            let duplicate = if prefix == "default" {
+                default_seen
+            } else {
+                tol.rules.iter().any(|(p, _)| p == prefix)
+            };
+            if duplicate {
+                return Err(format!("line {}: duplicate prefix {prefix:?}", i + 1));
+            }
             if prefix == "default" {
                 tol.default = value;
+                default_seen = true;
             } else {
                 tol.rules.push((prefix.to_string(), value));
             }
@@ -405,6 +417,20 @@ mod tests {
         assert!(Tolerances::parse("counters.a\n").is_err());
         assert!(Tolerances::parse("counters.a -0.5\n").is_err());
         assert!(Tolerances::parse("counters.a 0.1 extra\n").is_err());
+    }
+
+    #[test]
+    fn tolerance_parse_rejects_duplicates() {
+        assert_eq!(
+            Tolerances::parse("counters.a 0.1\n# note\ncounters.a 0.2\n"),
+            Err(r#"line 3: duplicate prefix "counters.a""#.to_string())
+        );
+        assert_eq!(
+            Tolerances::parse("default 0.0\ncounters.a 0.1\ndefault 0.5 # again\n"),
+            Err(r#"line 3: duplicate prefix "default""#.to_string())
+        );
+        // Overlapping but distinct prefixes are not duplicates.
+        assert!(Tolerances::parse("counters. 0.1\ncounters.a 0.2\ndefault 0.0\n").is_ok());
     }
 
     const WITH_TS: &str = r#"{"schema":"wsp-bench-v2","bench":"t","metrics":{"counters":{},

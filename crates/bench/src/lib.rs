@@ -5,10 +5,12 @@
 //! library holds the tiny formatting helpers they share so every
 //! regenerator prints comparable, grep-friendly output.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
 
-use wsp_common::parallel::Stepping;
+use wsp_common::stepping::Stepping;
 use wsp_telemetry::{DigestJournal, SharedRecorder, DEFAULT_DIGEST_EVERY, DEFAULT_SAMPLE_EVERY};
 use wsp_tile::MemoryModelKind;
 
@@ -24,10 +26,6 @@ pub mod diff;
 ///   (binaries without event sources write an empty trace);
 /// - `--seed <u64>` — override the deterministic RNG seed (binaries
 ///   without randomness ignore it);
-/// - `--threads <n>` — worker threads for `fig2_droop`'s red/black PDN
-///   solver (default: the machine's available parallelism; results are
-///   bit-identical at any value). The other binaries accept and ignore
-///   it: the fabric and machine step each cycle on one thread;
 /// - `--stepping <dense|wheel>` — stepping mode of the cycle-level
 ///   engines (default: `wheel`, which walks only active tiles and jumps
 ///   over idle/stalled windows; `dense` executes every cycle as the
@@ -65,8 +63,6 @@ pub struct BenchOpts {
     pub trace: Option<PathBuf>,
     /// Seed override for the binary's deterministic RNG streams.
     pub seed: Option<u64>,
-    /// Worker-thread override for `fig2_droop`'s red/black PDN solver.
-    pub threads: Option<usize>,
     /// Stepping mode of the cycle-level engines.
     pub stepping: Stepping,
     /// Memory-timing backend for the machine and workload layers.
@@ -85,7 +81,6 @@ impl Default for BenchOpts {
             json: None,
             trace: None,
             seed: None,
-            threads: None,
             stepping: Stepping::default(),
             memory: MemoryModelKind::default(),
             sample_every: DEFAULT_SAMPLE_EVERY,
@@ -104,7 +99,6 @@ impl BenchOpts {
                 eprintln!("error: {msg}");
                 eprintln!(
                     "usage: [--json <path>] [--trace <path>] [--seed <u64>] \
-                     [--threads <n> (fig2_droop's PDN solver only)] \
                      [--stepping <dense|wheel>] [--memory <fixed|banked|banked+tlb>] \
                      [--sample-every <n>] [--digest-every <n>] [--smoke]"
                 );
@@ -139,15 +133,6 @@ impl BenchOpts {
                         .map_err(|_| format!("invalid seed {raw:?}"))?;
                     opts.seed = Some(seed);
                 }
-                "--threads" => {
-                    let raw = args.next().ok_or("--threads requires a value")?;
-                    let threads = raw
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&t| t > 0)
-                        .ok_or_else(|| format!("invalid thread count {raw:?}"))?;
-                    opts.threads = Some(threads);
-                }
                 "--stepping" => {
                     let raw = args.next().ok_or("--stepping requires a value")?;
                     opts.stepping = Stepping::parse(&raw)
@@ -181,13 +166,6 @@ impl BenchOpts {
     /// The seed to use: the `--seed` override, else `default`.
     pub fn seed_or(&self, default: u64) -> u64 {
         self.seed.unwrap_or(default)
-    }
-
-    /// The worker-thread count to use: the `--threads` override, else the
-    /// machine's available parallelism.
-    pub fn threads_or_available(&self) -> usize {
-        self.threads
-            .unwrap_or_else(wsp_common::parallel::available_threads)
     }
 
     /// Writes the requested outputs from `recorder`: the metrics report
@@ -430,8 +408,6 @@ mod tests {
             "t.json",
             "--seed",
             "9",
-            "--threads",
-            "4",
             "--stepping",
             "dense",
             "--memory",
@@ -446,8 +422,6 @@ mod tests {
         assert_eq!(opts.json.as_deref(), Some(Path::new("a.json")));
         assert_eq!(opts.trace.as_deref(), Some(Path::new("t.json")));
         assert_eq!(opts.seed, Some(9));
-        assert_eq!(opts.threads, Some(4));
-        assert_eq!(opts.threads_or_available(), 4);
         assert_eq!(opts.stepping, Stepping::Dense);
         assert_eq!(opts.memory, MemoryModelKind::Banked);
         assert_eq!(opts.sample_every, 8);
@@ -473,19 +447,9 @@ mod tests {
     }
 
     #[test]
-    fn threads_default_to_available_parallelism() {
-        let opts = parse(&[]).expect("empty ok");
-        assert_eq!(opts.threads, None);
-        assert!(opts.threads_or_available() >= 1);
-    }
-
-    #[test]
     fn opts_reject_bad_input() {
         assert!(parse(&["--json"]).is_err());
         assert!(parse(&["--seed", "x"]).is_err());
-        assert!(parse(&["--threads"]).is_err());
-        assert!(parse(&["--threads", "0"]).is_err());
-        assert!(parse(&["--threads", "nope"]).is_err());
         assert!(parse(&["--stepping"]).is_err());
         assert!(parse(&["--stepping", "eager"]).is_err());
         assert_eq!(

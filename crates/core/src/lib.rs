@@ -35,6 +35,8 @@
 //! assert!((cfg.compute_throughput_tops() - 4.3).abs() < 0.1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod machine;
 mod system;

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use wsp_common::parallel::Stepping;
+use wsp_common::stepping::Stepping;
 use wsp_noc::{
     Fabric, FabricPacket, NetworkChoice, NetworkKind, NocSim, RoutePlanner, SimConfig,
     TrafficPattern,

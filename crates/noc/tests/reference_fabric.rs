@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 use rand::RngExt as _;
-use wsp_common::parallel::Stepping;
+use wsp_common::stepping::Stepping;
 use wsp_noc::routing::next_hop;
 use wsp_noc::{
     Fabric, FabricPacket, LinkStats, NetworkChoice, NetworkKind, PacketKind, RoutePlanner,

@@ -9,20 +9,13 @@
 //! over-relaxation on the nodal equations) yields the DC voltage each tile
 //! receives — the droop map of Fig. 2.
 //!
-//! Two sweep orderings are provided. [`PdnConfig::solve`] relaxes nodes in
-//! lexicographic order (classic Gauss–Seidel SOR). [`PdnConfig::solve_parallel`]
-//! uses red/black ordering: the grid is bipartite under 4-neighbour
-//! adjacency, so every red node ((x+y) even) depends only on black nodes
-//! and vice versa — each half-sweep is embarrassingly parallel and its
-//! result is independent of traversal order, making the parallel solver
-//! bit-identical at any thread count. The two orderings converge to the
-//! same operating point within the residual tolerance.
+//! [`PdnConfig::solve`] relaxes the nodes in lexicographic (row-major)
+//! order — classic Gauss–Seidel SOR — on the calling thread.
 
 use std::error::Error;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use wsp_common::parallel::{band_ranges, WorkerPool};
 use wsp_common::units::{Amps, Ohms, Volts, Watts};
 use wsp_telemetry::{NoopSink, Sink};
 use wsp_topo::{TileArray, TileCoord, DIRECTIONS};
@@ -235,46 +228,6 @@ impl PdnConfig {
         )
     }
 
-    /// [`PdnConfig::solve`] with red/black sweep ordering, sharded over
-    /// `threads` worker threads.
-    ///
-    /// Red/black SOR updates all even-parity nodes, then all odd-parity
-    /// nodes; within a half-sweep every update reads only the opposite
-    /// colour, so the shards race on nothing and the result is
-    /// **bit-identical for every thread count** (including `threads == 1`,
-    /// which runs the same code inline with no worker threads). The
-    /// converged solution differs from [`PdnConfig::solve`] only by the
-    /// sweep ordering, which the residual tolerance bounds to well under
-    /// 1 µV per node.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PdnConfig::solve`].
-    pub fn solve_parallel(&self, threads: usize) -> Result<PdnSolution, SolvePdnError> {
-        self.solve_parallel_traced(threads, &mut NoopSink)
-    }
-
-    /// [`PdnConfig::solve_parallel`] with the convergence telemetry of
-    /// [`PdnConfig::solve_traced`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PdnConfig::solve`].
-    pub fn solve_parallel_traced(
-        &self,
-        threads: usize,
-        sink: &mut dyn Sink,
-    ) -> Result<PdnSolution, SolvePdnError> {
-        let n = self.array.tile_count();
-        let i_load = vec![self.load.current_at(self.supply).value(); n];
-        self.solve_rb_inner(
-            i_load,
-            matches!(self.load, LoadModel::ConstantPower(_)),
-            threads,
-            sink,
-        )
-    }
-
     /// Solves the grid with an explicit per-tile current map — e.g. a
     /// workload-derived power profile in which busy tiles draw peak
     /// current and idle tiles leakage only. Currents are fixed (constant-
@@ -331,9 +284,8 @@ impl PdnConfig {
     /// Residual (max per-iteration voltage delta) at which the sweep stops.
     ///
     /// SOR's true error tracks the per-iteration delta by roughly
-    /// `ρ/(1-ρ) ≈ 10×` at ω = 1.9, so a 10 nV delta bound keeps the
-    /// lexicographic and red/black orderings within well under 1 µV of
-    /// each other — the agreement [`PdnConfig::solve_parallel`] promises.
+    /// `ρ/(1-ρ) ≈ 10×` at ω = 1.9, so a 10 nV delta bound keeps every
+    /// node well under 1 µV from the exact nodal solution.
     const TOL: f64 = 1e-8;
     /// SOR relaxation factor for Laplace-like grids.
     const OMEGA: f64 = 1.9;
@@ -429,202 +381,6 @@ impl PdnConfig {
             total_current,
         })
     }
-
-    /// Builds the packed red/black layout: per colour, the nodes in global
-    /// row-major order with their constant nodal terms and the packed
-    /// indices of their (opposite-colour) neighbours; plus the global→packed
-    /// mapping used for load updates and reassembly.
-    fn build_rb(&self) -> ([Vec<RbNode>; 2], Vec<(usize, usize)>) {
-        let array = self.array;
-        let n = array.tile_count();
-        let g_link = 1.0 / self.loop_sheet_resistance.value();
-        let g_edge = 1.0 / self.edge_connection.value();
-        let vs = self.supply.value();
-
-        let mut packed_of_global = Vec::with_capacity(n);
-        let mut counts = [0usize; 2];
-        for idx in 0..n {
-            let tile = array.coord_of(idx);
-            let colour = usize::from((tile.x + tile.y) % 2 == 1);
-            packed_of_global.push((colour, counts[colour]));
-            counts[colour] += 1;
-        }
-
-        let mut colours = [Vec::with_capacity(counts[0]), Vec::with_capacity(counts[1])];
-        for idx in 0..n {
-            let tile = array.coord_of(idx);
-            let (colour, _) = packed_of_global[idx];
-            let mut node = RbNode {
-                global_idx: idx,
-                g_sum: 0.0,
-                edge_inflow: 0.0,
-                neighbors: [0; 4],
-                neighbor_count: 0,
-            };
-            for dir in DIRECTIONS {
-                if let Some(nb) = array.neighbor(tile, dir) {
-                    let (nb_colour, nb_packed) = packed_of_global[array.index_of(nb)];
-                    debug_assert_ne!(colour, nb_colour, "4-neighbour grid is bipartite");
-                    node.g_sum += g_link;
-                    node.neighbors[node.neighbor_count] = nb_packed;
-                    node.neighbor_count += 1;
-                }
-            }
-            if self.touches_supply(tile) {
-                node.g_sum += g_edge;
-                node.edge_inflow = g_edge * vs;
-            }
-            colours[colour].push(node);
-        }
-        (colours, packed_of_global)
-    }
-
-    fn solve_rb_inner(
-        &self,
-        mut i_load: Vec<f64>,
-        constant_power: bool,
-        threads: usize,
-        sink: &mut dyn Sink,
-    ) -> Result<PdnSolution, SolvePdnError> {
-        let array = self.array;
-        let n = array.tile_count();
-        let g_link = 1.0 / self.loop_sheet_resistance.value();
-        let vs = self.supply.value();
-
-        let (colours, packed_of_global) = self.build_rb();
-        let pool = (threads > 1).then(|| WorkerPool::new(threads));
-        let shards = pool.as_ref().map_or(1, WorkerPool::threads);
-        let bands = [
-            band_ranges(colours[0].len(), shards),
-            band_ranges(colours[1].len(), shards),
-        ];
-
-        let mut v = [vec![vs; colours[0].len()], vec![vs; colours[1].len()]];
-        let mut iterations = 0usize;
-        loop {
-            let mut max_delta: f64 = 0.0;
-            for colour in 0..2 {
-                // Half-sweep: every node of `colour` reads only the opposite
-                // colour (frozen this half-sweep) plus its own old value, so
-                // the band results are a pure function of the pre-sweep state.
-                let plans: Vec<(Vec<f64>, f64)> = {
-                    let nodes = &colours[colour];
-                    let mine = &v[colour];
-                    let opp = &v[1 - colour];
-                    match &pool {
-                        None => vec![sweep_rb_band(nodes, mine, opp, &i_load, g_link)],
-                        Some(pool) => pool.map(bands[colour].clone(), |_, band| {
-                            sweep_rb_band(&nodes[band.clone()], &mine[band], opp, &i_load, g_link)
-                        }),
-                    }
-                };
-                for (band, (vals, delta)) in bands[colour].iter().zip(&plans) {
-                    v[colour][band.clone()].copy_from_slice(vals);
-                    // max is associative and order-independent, so merging
-                    // per-band maxima in band order is thread-count-invariant.
-                    max_delta = max_delta.max(*delta);
-                }
-            }
-            iterations += 1;
-            if sink.enabled()
-                && (iterations.is_multiple_of(Self::RESIDUAL_SAMPLE_STRIDE)
-                    || max_delta < Self::TOL)
-            {
-                sink.instant(
-                    "pdn",
-                    "residual",
-                    0,
-                    iterations as u64,
-                    &[("residual_v", max_delta)],
-                );
-            }
-
-            if constant_power {
-                let LoadModel::ConstantPower(p) = self.load else {
-                    unreachable!("constant_power implies a ConstantPower load");
-                };
-                // Sequential, in global node order — identical semantics
-                // (including which collapsing tile is reported first) to the
-                // lexicographic solver.
-                for idx in 0..n {
-                    let (colour, packed) = packed_of_global[idx];
-                    let vi = v[colour][packed];
-                    if vi <= 0.05 {
-                        return Err(SolvePdnError::Collapse {
-                            tile: array.coord_of(idx),
-                        });
-                    }
-                    // Damped current update keeps the nonlinear outer loop stable.
-                    let target = p.value() / vi;
-                    i_load[idx] += 0.5 * (target - i_load[idx]);
-                }
-            }
-
-            if max_delta < Self::TOL {
-                break;
-            }
-            if iterations >= Self::MAX_ITERS {
-                return Err(SolvePdnError::NoConvergence {
-                    iterations,
-                    residual: max_delta,
-                });
-            }
-        }
-
-        if sink.enabled() {
-            sink.span("pdn", "sor_solve", 0, 0, iterations as u64);
-            sink.gauge_set("pdn.solve.iterations", iterations as f64);
-            let min_v = v.iter().flatten().copied().fold(f64::INFINITY, f64::min);
-            sink.gauge_set("pdn.min_voltage_v", min_v);
-        }
-        let voltages = packed_of_global
-            .iter()
-            .map(|&(colour, packed)| Volts(v[colour][packed]))
-            .collect();
-        let total_current = Amps(i_load.iter().sum());
-        Ok(PdnSolution {
-            array,
-            supply: self.supply,
-            voltages,
-            iterations,
-            total_current,
-        })
-    }
-}
-
-/// One node of the packed red/black layout: its constant nodal terms and
-/// the packed indices of its neighbours in the *opposite* colour array.
-struct RbNode {
-    global_idx: usize,
-    g_sum: f64,
-    /// `g_edge · V_supply` when the tile touches a powered edge, else 0.
-    edge_inflow: f64,
-    neighbors: [usize; 4],
-    neighbor_count: usize,
-}
-
-/// Relaxes one band of same-colour nodes against the frozen opposite
-/// colour, returning the new band voltages and the band's max delta.
-fn sweep_rb_band(
-    nodes: &[RbNode],
-    v_mine: &[f64],
-    v_opp: &[f64],
-    i_load: &[f64],
-    g_link: f64,
-) -> (Vec<f64>, f64) {
-    let mut out = Vec::with_capacity(nodes.len());
-    let mut max_delta = 0.0f64;
-    for (node, &old) in nodes.iter().zip(v_mine) {
-        let mut inflow = node.edge_inflow;
-        for &nb in &node.neighbors[..node.neighbor_count] {
-            inflow += g_link * v_opp[nb];
-        }
-        let v_new = (inflow - i_load[node.global_idx]) / node.g_sum;
-        let relaxed = old + PdnConfig::OMEGA * (v_new - old);
-        max_delta = max_delta.max((relaxed - old).abs());
-        out.push(relaxed);
-    }
-    (out, max_delta)
 }
 
 impl fmt::Display for PdnConfig {
@@ -971,63 +727,6 @@ mod tests {
             "expected sampled residuals, got {residuals:?}"
         );
         assert!(residuals.last().expect("non-empty") < &1e-6);
-        assert_eq!(
-            recorder.registry.gauge("pdn.solve.iterations"),
-            Some(traced.iterations() as f64)
-        );
-    }
-
-    #[test]
-    fn red_black_matches_lexicographic_within_a_microvolt() {
-        let cfg = PdnConfig::paper_prototype();
-        let lex = cfg.solve().expect("lexicographic converges");
-        let rb = cfg.solve_parallel(4).expect("red/black converges");
-        for (t, v) in lex.voltages() {
-            let d = (v - rb.voltage_at(t)).value().abs();
-            assert!(d < 1e-6, "{t}: orderings differ by {d:.2e} V");
-        }
-        assert!((lex.total_current() - rb.total_current()).value().abs() < 1e-6);
-    }
-
-    #[test]
-    fn red_black_is_bit_identical_across_thread_counts() {
-        let cfg = PdnConfig::paper_prototype();
-        let reference = cfg.solve_parallel(1).expect("converges");
-        for threads in [2usize, 3, 5, 8] {
-            let sol = cfg.solve_parallel(threads).expect("converges");
-            assert_eq!(sol, reference, "diverged at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn red_black_constant_power_matches_and_collapses() {
-        let p = Watts(PdnConfig::PAPER_TILE_CURRENT.value() * 2.5 * 0.5);
-        let cfg = PdnConfig::paper_prototype().with_load(LoadModel::ConstantPower(p));
-        let lex = cfg.solve().expect("lexicographic converges");
-        let rb = cfg.solve_parallel(3).expect("red/black converges");
-        for (t, v) in lex.voltages() {
-            assert!((v - rb.voltage_at(t)).value().abs() < 1e-6, "{t}");
-        }
-
-        let absurd = PdnConfig::paper_prototype().with_load(LoadModel::ConstantPower(Watts(50.0)));
-        match absurd.solve_parallel(2) {
-            Err(SolvePdnError::Collapse { .. }) => {}
-            other => panic!("expected collapse, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn red_black_traced_matches_untraced() {
-        use wsp_telemetry::Recorder;
-
-        let cfg = PdnConfig::paper_prototype();
-        let mut recorder = Recorder::new();
-        let traced = cfg
-            .solve_parallel_traced(2, &mut recorder)
-            .expect("converges");
-        let plain = cfg.solve_parallel(2).expect("converges");
-        assert_eq!(traced, plain, "telemetry must not perturb the solve");
-        assert_eq!(recorder.tracer.span_count("pdn"), 1);
         assert_eq!(
             recorder.registry.gauge("pdn.solve.iterations"),
             Some(traced.iterations() as f64)

@@ -23,8 +23,8 @@ use waferscale::workload::{
     StencilGrid, HALO_WORDS,
 };
 use waferscale::{LatencyModel, MultiTileMachine, SystemConfig, WaferscaleSystem};
-use wsp_common::parallel::Stepping;
 use wsp_common::seeded_rng;
+use wsp_common::stepping::Stepping;
 use wsp_telemetry::{DigestJournal, Fnv1a, Histogram, LaneId, Sink};
 use wsp_tile::isa::{Program, Reg};
 use wsp_tile::MemoryModelKind;

@@ -10,12 +10,8 @@
 #   ./scripts/bench.sh --criterion # also run the arena_vs_vecdeque
 #                                  # micro-bench (criterion, ~1 min)
 #
-# fig2_droop runs its red/black PDN solver with --threads 1 unless
-# WSP_THREADS=<n> sets another worker count; the solution is
-# bit-identical at any count, but the pin keeps fig2_droop's wall-clock
-# gauges independent of the host's core count. The other binaries take
-# no thread count: the fabric and the machine step each cycle on one
-# thread.
+# Every binary runs on one thread: the PDN solver, the fabric and the
+# machine take no thread count.
 #
 # Full-run artefacts land in the repo root:
 #   BENCH_noc.json       fig7_network  (NoC request/response metrics)
@@ -45,8 +41,6 @@ for arg in "$@"; do
     esac
 done
 
-THREADS=(--threads "${WSP_THREADS:-1}")
-
 OUT=.
 if [[ ${#SMOKE[@]} -gt 0 ]]; then
     OUT="$(mktemp -d)"
@@ -66,7 +60,7 @@ run() {
 run fig7_network "${SMOKE[@]}" --json "$OUT/BENCH_noc.json"
 run workloads "${SMOKE[@]}" --json "$OUT/BENCH_machine.json" \
     --trace "$OUT/TRACE_machine.json"
-run fig2_droop "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_pdn.json"
+run fig2_droop "${SMOKE[@]}" --json "$OUT/BENCH_pdn.json"
 run serve "${SMOKE[@]}" --json "$OUT/BENCH_serve.json"
 
 echo "==> validate_json"

@@ -51,6 +51,7 @@ if [ "${WSP_UPDATE_GOLDEN:-0}" = "1" ]; then
         --json tests/golden/workloads_smoke.json >/dev/null
     target/release/serve --smoke --stepping dense \
         --json tests/golden/serve_smoke.json >/dev/null
+    target/release/fig2_droop --smoke --json tests/golden/fig2_droop_smoke.json >/dev/null
     echo "    refreshed tests/golden/*.json (+ .digest sidecars)"
 fi
 for bin in fig7_network workloads serve; do
@@ -72,6 +73,14 @@ for bin in fig7_network workloads serve; do
         fi
     done
 done
+# fig2_droop steps no cycle-level engine (no stepping axis, no digest
+# journal): its smoke JSON is the PDN solve's, byte for byte.
+target/release/fig2_droop --smoke --json "$DET_DIR/fig2_droop.json" >/dev/null
+if ! cmp -s tests/golden/fig2_droop_smoke.json "$DET_DIR/fig2_droop.json"; then
+    echo "FAIL: fig2_droop smoke JSON differs from tests/golden/fig2_droop_smoke.json" >&2
+    diff tests/golden/fig2_droop_smoke.json "$DET_DIR/fig2_droop.json" >&2 || true
+    exit 1
+fi
 echo "    byte-identical to the goldens across stepping modes"
 
 echo "==> serve snapshot gate (snapshot -> restore -> resume is bit-identical)"

@@ -9,7 +9,7 @@
 //! path that led there.
 
 use waferscale::{LatencyModel, MultiTileMachine, SystemConfig};
-use wsp_common::parallel::Stepping;
+use wsp_common::stepping::Stepping;
 use wsp_tile::isa::{Program, Reg};
 use wsp_topo::{FaultMap, TileArray, TileCoord};
 

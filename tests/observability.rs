@@ -5,7 +5,7 @@
 //! property that lets them live inside the byte-compared smoke goldens.
 
 use waferscale::{LatencyModel, MultiTileMachine, SystemConfig};
-use wsp_common::parallel::Stepping;
+use wsp_common::stepping::Stepping;
 use wsp_telemetry::{first_divergence, DigestJournal, LaneId};
 use wsp_tile::isa::{Program, Reg};
 use wsp_topo::{FaultMap, TileArray, TileCoord};

@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 use waferscale::{LatencyModel, MultiTileMachine, SystemConfig};
-use wsp_common::parallel::Stepping;
 use wsp_common::seeded_rng;
+use wsp_common::stepping::Stepping;
 use wsp_noc::{NocSim, SimConfig, TrafficPattern};
 use wsp_tile::isa::{Program, Reg};
 use wsp_tile::MemoryModelKind;

@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 
 use waferscale::workload::HALO_WORDS;
 use waferscale::{MultiTileMachine, SystemConfig};
-use wsp_common::parallel::Stepping;
+use wsp_common::stepping::Stepping;
 use wsp_sched::{build_halo_slice_machine, partition, restrict_faults, slice_usable};
 use wsp_tile::isa::{Program, Reg};
 use wsp_tile::memory::{bank_row_of_offset, PAGE_BYTES, ROW_BYTES};
